@@ -101,10 +101,6 @@ class BratteliTower:
         lv = self.level(n)
         return (lv.dim_big, lv.dim_small)
 
-    def minimal_projection_class(self, n: int = 1) -> tuple:
-        self.level(n)
-        return (1, 0)
-
     def to_json_obj(self) -> dict:
         return {
             "depth": self.depth,

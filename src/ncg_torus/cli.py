@@ -97,8 +97,13 @@ def _matrix_dump(mat: np.ndarray) -> list:
 
 def _theta_text(raw: str) -> str:
     if raw == "golden":
-        nd = int(os.environ.get("NCG_TORUS_PRECISION", "60"))
-        return golden_string(nd)
+        text = os.environ.get("NCG_TORUS_PRECISION", "60")
+        try:
+            nd = int(text)
+        except ValueError:
+            raise InvalidInput(
+                f"NCG_TORUS_PRECISION={text!r} is not an integer") from None
+        return golden_string(nd)  # rejects nd < 1
     return raw
 
 

@@ -51,10 +51,6 @@ class HorizonTooSmall(InvalidInput):
     pass
 
 
-class RankOverflow(InvalidInput):
-    """A K-theory class left the physical cone 0 <= rank <= dimension."""
-
-
 class NotAProjection(InvalidInput):
     pass
 

@@ -170,25 +170,30 @@ def _bandwidth(mat: np.ndarray, tol: float = 1e-12) -> int:
 
 @dataclass(frozen=True)
 class EvenFredholmModule:
-    """Graded module (H, F, gamma) with pi block-diagonal in the grading."""
+    """Graded module (H, F, gamma) with pi block-diagonal in the grading.
+
+    H = C^fiber_dim (+) C^fiber_dim, gamma = 1 (+) -1 and F is off-diagonal,
+    F = [[0, diag(conj(f_phase))], [diag(f_phase), 0]]; only the phase
+    vector is stored.
+    """
 
     kind: str  # "canonical" | "dirac"
     fiber: dict  # generator name -> matrix on the fiber space
     fiber_dim: int
-    F: np.ndarray
-    gamma: np.ndarray
+    f_phase: np.ndarray
     theta_input: Optional[ThetaLike] = None
     base: Optional[TruncatedZ2Rep] = None
     phases: Optional[np.ndarray] = None  # diagonal conjugation, box route
 
     @property
     def dim(self) -> int:
-        return self.F.shape[0]
+        return 2 * self.fiber_dim
 
     def validate(self) -> dict:
-        f2 = float(np.linalg.norm(self.F @ self.F - np.eye(self.dim), 2))
-        anti = float(np.linalg.norm(self.gamma @ self.F + self.F @ self.gamma, 2))
-        return {"F_squared_defect": f2, "grading_anticommutator": anti}
+        # F^2 - 1 = diag(|f_phase|^2 - 1) on each summand; gamma F + F gamma
+        # vanishes because F is off-diagonal in the grading
+        f2 = float(np.abs(np.abs(self.f_phase) ** 2 - 1.0).max())
+        return {"F_squared_defect": f2, "grading_anticommutator": 0.0}
 
 
 @dataclass(frozen=True)
@@ -229,11 +234,7 @@ def canonical_even(phi: dict, kind_label: str = "canonical") -> EvenFredholmModu
             raise InvalidInput("generator matrices must be square of equal size")
         if np.linalg.norm(g.conj().T @ g - np.eye(d), 2) > UNITARY_TOL:
             raise NotUnitary(f"phi({name}) is not unitary")
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    F = np.block([[zero, eye], [eye, zero]]).astype(complex)
-    gamma = np.block([[eye, zero], [zero, -eye]]).astype(complex)
-    return EvenFredholmModule(kind_label, mats, d, F, gamma)
+    return EvenFredholmModule(kind_label, mats, d, np.ones(d, dtype=complex))
 
 
 def even_pairing(module: EvenFredholmModule, e: np.ndarray,
@@ -356,25 +357,23 @@ def odd_pairing(module: OddFredholmModule,
 def dirac_module(theta: ThetaLike, N: int) -> EvenFredholmModule:
     """Even module whose symmetry is the winding-one phase over the box."""
     rep = dirac_data(theta, N)
-    f0 = rep.F0_diag
-    dim = rep.dim
-    zero = np.zeros((dim, dim), dtype=complex)
-    F = np.block([[zero, np.diag(f0.conj())], [np.diag(f0), zero]])
-    eye = np.eye(dim)
-    gamma = np.block([[eye, zero], [zero, -eye]]).astype(complex)
-    return EvenFredholmModule("dirac", {"U": rep.U, "V": rep.V}, dim, F, gamma,
-                              theta_input=rep.theta_input, base=rep)
+    return EvenFredholmModule("dirac", {"U": rep.U, "V": rep.V}, rep.dim,
+                              rep.F0_diag, theta_input=rep.theta_input,
+                              base=rep)
 
 
 _dirac_cache: dict = {}
 
 
 def _dirac_single(theta_input: ThetaLike, N: int, p_kind: str, rank_tol: float,
-                  cutoff: Optional[int], phases: Optional[np.ndarray]) -> dict:
+                  cutoff: Optional[int], phases: Optional[np.ndarray],
+                  rep: Optional[TruncatedZ2Rep] = None) -> dict:
+    """One box pass; ``rep`` is the box rep at (theta_input, N) if built."""
     key = (repr(theta_input), N, p_kind, rank_tol, cutoff)
     if phases is None and key in _dirac_cache:
         return _dirac_cache[key]
-    rep = dirac_data(theta_input, N)
+    if rep is None:
+        rep = dirac_data(theta_input, N)
     f0 = rep.F0_diag
     if p_kind == "zero":
         out = {"value": 0, "kernel": 0, "cokernel": 0, "rank": 0,
@@ -391,7 +390,11 @@ def _dirac_single(theta_input: ThetaLike, N: int, p_kind: str, rank_tol: float,
             if phases.shape != (rep.dim,):
                 raise InvalidInput("phase vector does not match the box dimension")
             p = (phases[:, None] * p) * phases.conj()[None, :]
-        w, q = np.linalg.eigh((p + p.conj().T) / 2)
+        # MRRR (LAPACK ?heevr) is about twice as fast as numpy's
+        # divide-and-conquer here; scipy is imported only on this path
+        # because its import alone costs about 0.35 s
+        from scipy.linalg import eigh
+        w, q = eigh((p + p.conj().T) / 2, driver="evr", overwrite_a=True)
         keep = w >= 0.5
         gap = float(np.abs(w - 0.5).min())
         wmat = q[:, keep]
@@ -456,7 +459,7 @@ def dirac_even_pairing(module: EvenFredholmModule,
             "pass a built projection spec, 'trace-theta', 'one' or 'zero'")
     N = module.base.N
     first = _dirac_single(module.theta_input, N, p_kind, rank_tol, cutoff,
-                          module.phases)
+                          module.phases, module.base)
     value = first["value"]
     details = {k: v for k, v in first.items() if k != "value"}
     stable = False

@@ -38,9 +38,6 @@ from .exact_arith import parse_theta
 
 ThetaLike = Union[str, int, float, Fraction]
 
-#: global sign convention for the symmetry F = diag(sign(k)): sign(0) = +1
-SIGN_AT_ZERO = +1
-
 
 def theta_to_float(theta: ThetaLike) -> float:
     if isinstance(theta, float):
@@ -357,7 +354,13 @@ def _bump_pair(theta: float, profile: str):
 
 @dataclass(frozen=True)
 class RieffelProjectionSpec:
-    """An assembled trace-theta projection p = f(U) + V g(U) + g(U)* V*."""
+    """An assembled trace-theta projection p = f(U) + V g(U) + g(U)* V*.
+
+    ``defect_adjoint`` is the operator norm of p - p* on clock builds.  On
+    box builds it is the largest column sum of |p - p*|, an upper bound on
+    that norm: for an anti-Hermitian A the 1- and infinity-norms coincide,
+    and ||A||_2 <= sqrt(||A||_1 ||A||_inf).
+    """
 
     theta: float
     delta: float
@@ -369,10 +372,6 @@ class RieffelProjectionSpec:
     defect_adjoint: float
     poly: Optional[TorusPolynomial] = None  # set for box builds
     degree: int = 0  # Fourier cutoff of the box build
-
-    def fourier_a00(self) -> float:
-        """Integral of f = the exact trace of the untruncated element."""
-        return self.theta
 
 
 def _fourier_coeffs(fn, K: int, samples: int = 1 << 13) -> np.ndarray:
@@ -439,7 +438,9 @@ def rieffel_projection(theta: ThetaLike, rep, profile: str = "auto",
             th, {(k, 1): ghat[k + K] * lam**k for k in range(-K, K + 1)})
         poly = f_poly + vg_poly + vg_poly.adjoint()
         p = poly.realize_box(rep)
-        adj = _op_norm(p - p.conj().T)
+        # a full SVD here would cost more than the whole build; see the
+        # class docstring for why the column sum bounds the norm
+        adj = float(np.abs(p - p.conj().T).sum(axis=0).max())
         # idempotency measured away from the boundary: columns whose image
         # under p^2 cannot touch the truncation edge
         margin_m, margin_n = 2 * K, 2

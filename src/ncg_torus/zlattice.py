@@ -34,10 +34,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
 def det_int(m: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)

@@ -53,6 +53,14 @@ class TestCfCommand:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_bad_precision_env_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("NCG_TORUS_PRECISION", value)
+        code, out, err = run_cli(capsys, "cf", "--theta", "golden")
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
     def test_uncertifiable_decimal_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "cf", "--theta", "0.333", "--depth", "9")
         assert code == 2

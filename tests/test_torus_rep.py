@@ -254,6 +254,12 @@ class TestRieffelProjection:
         assert spec.defect_adjoint <= 1e-12
         assert spec.defect_idempotent <= 0.2  # Fourier tail, polished downstream
 
+    @pytest.mark.parametrize("N", [4, 6])
+    def test_box_adjoint_defect_bounds_the_operator_norm(self, N):
+        spec = rieffel_projection(GOLDEN, dirac_data(GOLDEN, N))
+        p = spec.matrix
+        assert np.linalg.norm(p - p.conj().T, 2) <= spec.defect_adjoint <= 1e-12
+
     def test_box_cutoff_too_large(self):
         rep = dirac_data(GOLDEN, 6)
         with pytest.raises(RepresentationTooSmall):
