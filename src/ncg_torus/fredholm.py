@@ -25,7 +25,6 @@ sits in the bulk.  Truncation artifacts live at the edge in both cases.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -41,8 +40,6 @@ from .errors import (
     UnsupportedForm,
 )
 from .torus_rep import (
-    ClockShiftRep,
-    RieffelProjectionSpec,
     ThetaLike,
     TruncatedZ2Rep,
     TruncatedZRep,
@@ -170,29 +167,42 @@ def _bandwidth(mat: np.ndarray, tol: float = 1e-12) -> int:
 
 @dataclass(frozen=True)
 class EvenFredholmModule:
-    """Graded module (H, F, gamma) with pi block-diagonal in the grading.
+    """Canonical graded module with pi = phi (+) 0 over a unitary fiber pair.
 
-    H = C^fiber_dim (+) C^fiber_dim, gamma = 1 (+) -1 and F is off-diagonal,
-    F = [[0, diag(conj(f_phase))], [diag(f_phase), 0]]; only the phase
-    vector is stored.
+    H = C^fiber_dim (+) C^fiber_dim, gamma = 1 (+) -1 and F swaps the two
+    summands, so F^2 = 1 and gamma F = -F gamma hold exactly.
     """
 
-    kind: str  # "canonical" | "dirac"
     fiber: dict  # generator name -> matrix on the fiber space
     fiber_dim: int
-    f_phase: np.ndarray
-    theta_input: Optional[ThetaLike] = None
-    base: Optional[TruncatedZ2Rep] = None
-    phases: Optional[np.ndarray] = None  # diagonal conjugation, box route
 
     @property
     def dim(self) -> int:
         return 2 * self.fiber_dim
 
     def validate(self) -> dict:
-        # F^2 - 1 = diag(|f_phase|^2 - 1) on each summand; gamma F + F gamma
+        return {"F_squared_defect": 0.0, "grading_anticommutator": 0.0}
+
+
+@dataclass(frozen=True)
+class BoxFredholmModule:
+    """Box module: H = C^dim (+) C^dim over the box rep, gamma = 1 (+) -1,
+    F = [[0, diag(conj(F0))], [diag(F0), 0]] with F0 = ``base.F0_diag``.
+
+    ``phases`` is the diagonal conjugation set by ``conjugate_module``.
+    """
+
+    base: TruncatedZ2Rep
+    phases: Optional[np.ndarray] = None
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.base.dim
+
+    def validate(self) -> dict:
+        # F^2 - 1 = diag(|F0|^2 - 1) on each summand; gamma F + F gamma
         # vanishes because F is off-diagonal in the grading
-        f2 = float(np.abs(np.abs(self.f_phase) ** 2 - 1.0).max())
+        f2 = float(np.abs(np.abs(self.base.F0_diag) ** 2 - 1.0).max())
         return {"F_squared_defect": f2, "grading_anticommutator": 0.0}
 
 
@@ -218,13 +228,8 @@ class OddFredholmModule:
                          for k in range(-self.N, self.N + 1)])
 
 
-def canonical_even(phi: dict, kind_label: str = "canonical") -> EvenFredholmModule:
-    """Degenerate even module over a unitary fiber pair: pi = phi (+) 0.
-
-    F swaps the two summands and gamma grades them, so F^2 = 1 and
-    gamma F = -F gamma hold exactly; the pairing against a projection
-    realized over phi reduces to its trace.
-    """
+def canonical_even(phi: dict) -> EvenFredholmModule:
+    """Degenerate even module pi = phi (+) 0; its pairing is the trace."""
     if set(phi) != {"U", "V"}:
         raise InvalidInput("phi must provide exactly the generators U and V")
     mats = {k: np.asarray(v, dtype=complex) for k, v in phi.items()}
@@ -234,7 +239,7 @@ def canonical_even(phi: dict, kind_label: str = "canonical") -> EvenFredholmModu
             raise InvalidInput("generator matrices must be square of equal size")
         if np.linalg.norm(g.conj().T @ g - np.eye(d), 2) > UNITARY_TOL:
             raise NotUnitary(f"phi({name}) is not unitary")
-    return EvenFredholmModule(kind_label, mats, d, np.ones(d, dtype=complex))
+    return EvenFredholmModule(mats, d)
 
 
 def even_pairing(module: EvenFredholmModule, e: np.ndarray,
@@ -244,7 +249,7 @@ def even_pairing(module: EvenFredholmModule, e: np.ndarray,
     e must be a matrix over the fiber (size a multiple of the fiber
     dimension) that is a projection up to fixed tolerances.
     """
-    if module.kind != "canonical":
+    if not isinstance(module, EvenFredholmModule):
         raise UnsupportedForm("trace formula applies to canonical modules only")
     e = np.asarray(e, dtype=complex)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
@@ -295,6 +300,16 @@ def _word_blocks(module: OddFredholmModule,
     raise UnsupportedForm(f"cannot realize {type(u).__name__} as a unitary")
 
 
+def _recheck(value: int, N: int, details: dict,
+             value_at: Callable[[int], int]) -> None:
+    """Stability rule of both index routes: value_at(N + 4) must agree."""
+    again = value_at(N + 4)
+    if again != value:
+        raise UnstableIndex(f"index {value} at N = {N} became {again} at N = {N + 4}")
+    details["value_recheck"] = again
+    details["N_recheck"] = N + 4
+
+
 def _kernel_count(a: np.ndarray, tol: float) -> int:
     if a.shape[1] == 0:
         return 0
@@ -337,150 +352,126 @@ def odd_pairing(module: OddFredholmModule,
         coker += _kernel_count(comp.conj().T[:, :bulk], rank_tol)
     value = ker - coker
     details = {"kernel": ker, "cokernel": coker, "bandwidth": bw}
-    stable = False
     if stability_check:
         if module.rebuild is None:
             raise InvalidInput("module has no rebuild rule; pass stability_check=False")
-        again = odd_pairing(module.rebuild(N + 4), u, rank_tol,
-                            stability_check=False)
-        if again.value != value:
-            raise UnstableIndex(
-                f"index {value} at N = {N} became {again.value} at N = {N + 4}")
-        details["value_recheck"] = again.value
-        details["N_recheck"] = N + 4
-        stable = True
-    return PairingResult(value, "kernel-index", N, rank_tol, stable, details)
+        _recheck(value, N, details, lambda n: odd_pairing(
+            module.rebuild(n), u, rank_tol, stability_check=False).value)
+    return PairingResult(value, "kernel-index", N, rank_tol, stability_check,
+                         details)
 
 
 # --- the two-index box module ----------------------------------------------------
 
-def dirac_module(theta: ThetaLike, N: int) -> EvenFredholmModule:
+def dirac_module(theta: ThetaLike, N: int) -> BoxFredholmModule:
     """Even module whose symmetry is the winding-one phase over the box."""
-    rep = dirac_data(theta, N)
-    return EvenFredholmModule("dirac", {"U": rep.U, "V": rep.V}, rep.dim,
-                              rep.F0_diag, theta_input=rep.theta_input,
-                              base=rep)
+    return BoxFredholmModule(dirac_data(theta, N))
 
 
 _dirac_cache: dict = {}
 
 
-def _dirac_single(theta_input: ThetaLike, N: int, p_kind: str, rank_tol: float,
+def _dirac_single(theta_input: ThetaLike, N: int, rank_tol: float,
                   cutoff: Optional[int], phases: Optional[np.ndarray],
                   rep: Optional[TruncatedZ2Rep] = None) -> dict:
-    """One box pass; ``rep`` is the box rep at (theta_input, N) if built."""
-    key = (repr(theta_input), N, p_kind, rank_tol, cutoff)
+    """One trace-theta box pass; ``rep`` is the box rep at (theta_input, N)."""
+    key = (repr(theta_input), N, rank_tol, cutoff)
     if phases is None and key in _dirac_cache:
         return _dirac_cache[key]
     if rep is None:
         rep = dirac_data(theta_input, N)
     f0 = rep.F0_diag
-    if p_kind == "zero":
-        out = {"value": 0, "kernel": 0, "cokernel": 0, "rank": 0,
-               "sigma_min": None, "sigma_next": None, "gap_half": None}
-    elif p_kind == "one":
-        # full range; the compression is the unitary phase itself
-        out = {"value": 0, "kernel": 0, "cokernel": 0, "rank": rep.dim,
-               "sigma_min": 1.0, "sigma_next": 1.0, "gap_half": 0.5}
-    elif p_kind == "rieffel":
-        spec = rieffel_projection(rep.theta_input, rep, cutoff=cutoff)
-        p = spec.matrix
-        if phases is not None:
-            # f0 is diagonal, so it commutes with the conjugation and stays put
-            if phases.shape != (rep.dim,):
-                raise InvalidInput("phase vector does not match the box dimension")
-            p = (phases[:, None] * p) * phases.conj()[None, :]
-        # MRRR (LAPACK ?heevr) is about twice as fast as numpy's
-        # divide-and-conquer here; scipy is imported only on this path
-        # because its import alone costs about 0.35 s
-        from scipy.linalg import eigh
-        w, q = eigh((p + p.conj().T) / 2, driver="evr", overwrite_a=True)
-        keep = w >= 0.5
-        gap = float(np.abs(w - 0.5).min())
-        wmat = q[:, keep]
-        t = wmat.conj().T @ (f0[:, None] * wmat)
-        us, s, vh = np.linalg.svd(t)
-        small = np.nonzero(s < rank_tol)[0]
-        margin = max(2, N // 4)
-        side = 2 * N + 1
+    spec = rieffel_projection(rep.theta_input, rep, cutoff=cutoff)
+    p = spec.matrix
+    if phases is not None:
+        # f0 is diagonal, so it commutes with the conjugation and stays put
+        p = _conjugated(phases, p)
+    # MRRR (LAPACK ?heevr) is about twice as fast as numpy's
+    # divide-and-conquer here; scipy is imported only on this path
+    # because its import alone costs about 0.35 s
+    from scipy.linalg import eigh
+    w, q = eigh((p + p.conj().T) / 2, driver="evr", overwrite_a=True)
+    keep = w >= 0.5
+    gap = float(np.abs(w - 0.5).min())
+    wmat = q[:, keep]
+    t = wmat.conj().T @ (f0[:, None] * wmat)
+    us, s, vh = np.linalg.svd(t)
+    small = np.nonzero(s < rank_tol)[0]
+    margin = max(2, N // 4)
+    side = 2 * N + 1
 
-        def interior_mass(vec_box: np.ndarray) -> float:
-            prob = (np.abs(vec_box) ** 2).reshape(side, side)
-            r = N - margin
-            return float(prob[N - r:N + r + 1, N - r:N + r + 1].sum())
+    def interior_mass(vec_box: np.ndarray) -> float:
+        prob = (np.abs(vec_box) ** 2).reshape(side, side)
+        r = N - margin
+        return float(prob[N - r:N + r + 1, N - r:N + r + 1].sum())
 
-        ker = coker = 0
-        for i in small:
-            if interior_mass(wmat @ vh[i].conj()) >= INTERIOR_MASS_THRESHOLD:
-                ker += 1
-            if interior_mass(wmat @ us[:, i]) >= INTERIOR_MASS_THRESHOLD:
-                coker += 1
-        out = {
-            "value": ker - coker, "kernel": ker, "cokernel": coker,
-            "rank": int(keep.sum()),
-            "sigma_min": float(s[-1]) if s.size else None,
-            "sigma_next": float(s[-2]) if s.size > 1 else None,
-            "gap_half": gap,
-            "build_defect": spec.defect_idempotent,
-        }
-    else:
-        raise UnsupportedForm(f"unknown projection kind {p_kind!r}")
+    ker = coker = 0
+    for i in small:
+        if interior_mass(wmat @ vh[i].conj()) >= INTERIOR_MASS_THRESHOLD:
+            ker += 1
+        if interior_mass(wmat @ us[:, i]) >= INTERIOR_MASS_THRESHOLD:
+            coker += 1
+    out = {
+        "value": ker - coker, "kernel": ker, "cokernel": coker,
+        "rank": int(keep.sum()),
+        "sigma_min": float(s[-1]) if s.size else None,
+        "sigma_next": float(s[-2]) if s.size > 1 else None,
+        "gap_half": gap,
+        "build_defect": spec.defect_idempotent,
+    }
     if phases is None:
         _dirac_cache[key] = out
     return out
 
 
-def dirac_even_pairing(module: EvenFredholmModule,
-                       p: Union[RieffelProjectionSpec, str],
+def dirac_even_pairing(module: BoxFredholmModule, p: str,
                        rank_tol: float = DIRAC_RANK_TOL,
                        cutoff: Optional[int] = None,
                        stability_check: bool = True) -> PairingResult:
-    """Pair the box module with a projection class.
+    """Pair the box module with a projection class named by a token.
 
-    Accepts the assembled trace-theta projection spec, the literal
-    "trace-theta" (same class, built internally at every truncation size),
-    or the literals "one" / "zero".  Near-kernel singular vectors of the
-    compressed phase are kept only when at least half their mass sits
-    margin sites away from the box edge; the edge modes they discard are
-    truncation artifacts with no infinite-volume counterpart.
+    "trace-theta" is the Rieffel class, built with ``cutoff`` at every
+    truncation size; "one" and "zero" are the unit and the zero class.
+    Near-kernel singular vectors of the compressed phase are kept only when
+    at least half their mass sits margin sites away from the box edge; the
+    edge modes they discard are truncation artifacts with no
+    infinite-volume counterpart.
     """
-    if module.kind != "dirac":
+    if not isinstance(module, BoxFredholmModule):
         raise UnsupportedForm("this pairing needs the box module")
-    if isinstance(p, RieffelProjectionSpec):
-        if abs(p.theta - module.base.theta) > 1e-12:
-            raise InvalidInput("projection and module disagree on theta")
-        p_kind = "rieffel"
-    elif p == "trace-theta":
-        p_kind = "rieffel"
-    elif p in ("one", "zero"):
-        p_kind = p
+    rep = module.base
+    N = rep.N
+    if p == "trace-theta":
+        first = _dirac_single(rep.theta_input, N, rank_tol, cutoff,
+                              module.phases, rep)
+        value = first["value"]
+        details = {k: v for k, v in first.items() if k != "value"}
+    elif p == "one":
+        # full range; the compression is the unitary phase itself
+        value, details = 0, {"kernel": 0, "cokernel": 0, "rank": rep.dim,
+                             "sigma_min": 1.0, "sigma_next": 1.0, "gap_half": 0.5}
+    elif p == "zero":
+        value, details = 0, {"kernel": 0, "cokernel": 0, "rank": 0, "sigma_min": None,
+                             "sigma_next": None, "gap_half": None}
     else:
-        raise UnsupportedForm(
-            "pass a built projection spec, 'trace-theta', 'one' or 'zero'")
-    N = module.base.N
-    first = _dirac_single(module.theta_input, N, p_kind, rank_tol, cutoff,
-                          module.phases, module.base)
-    value = first["value"]
-    details = {k: v for k, v in first.items() if k != "value"}
-    stable = False
-    if stability_check and p_kind == "rieffel":
+        raise UnsupportedForm("pass the class token 'trace-theta', 'one' or 'zero'")
+    # "one" / "zero" compress to an exact unitary / to nothing: no recheck
+    if stability_check and p == "trace-theta":
         if module.phases is not None:
             raise InvalidInput(
                 "no rebuild rule for a conjugated module; pass stability_check=False")
-        again = _dirac_single(module.theta_input, N + 4, p_kind, rank_tol,
-                              cutoff, None)
-        if again["value"] != value:
-            raise UnstableIndex(
-                f"index {value} at N = {N} became {again['value']} at N = {N + 4}")
-        details["value_recheck"] = again["value"]
-        details["N_recheck"] = N + 4
-        stable = True
-    elif stability_check:
-        stable = True  # "one" / "zero" compress to exact unitaries / nothing
-    return PairingResult(value, "compressed-index", N, rank_tol, stable, details)
+        _recheck(value, N, details, lambda n: _dirac_single(
+            rep.theta_input, n, rank_tol, cutoff, None)["value"])
+    return PairingResult(value, "compressed-index", N, rank_tol,
+                         stability_check, details)
 
 
 # --- conjugation and diagnostics ---------------------------------------------------
+
+def _conjugated(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """diag(d) m diag(d)^*."""
+    return (d[:, None] * m) * d.conj()[None, :]
+
 
 def conjugate_module(module, phases: Sequence[complex]):
     """Conjugate every generator by a diagonal unitary diag(phases).
@@ -490,31 +481,28 @@ def conjugate_module(module, phases: Sequence[complex]):
     Rebuild rules do not survive (sizes change), so pair the result with
     stability_check=False.
     """
+    if isinstance(module, OddFredholmModule):
+        size, space = module.base.dim, "base"
+    elif isinstance(module, BoxFredholmModule):
+        size, space = module.base.dim, "box"
+    elif isinstance(module, EvenFredholmModule):
+        size, space = module.fiber_dim, "fiber"
+    else:
+        raise UnsupportedForm(f"cannot conjugate {type(module).__name__}")
     ph = np.asarray(phases, dtype=complex)
+    if ph.shape != (size,):
+        raise InvalidInput(f"phase vector does not match the {space} dimension")
     if np.abs(np.abs(ph) - 1.0).max() > 1e-12:
         raise NotUnitary("conjugating phases must have unit modulus")
     if isinstance(module, OddFredholmModule):
-        if ph.shape != (module.base.dim,):
-            raise InvalidInput("phase vector does not match the base dimension")
-        d = ph
         base = module.base
-        new_base = dataclasses.replace(
-            base,
-            U=(d[:, None] * base.U) * d.conj()[None, :],
-            V=(d[:, None] * base.V) * d.conj()[None, :],
-        )
+        new_base = dataclasses.replace(base, U=_conjugated(ph, base.U),
+                                       V=_conjugated(ph, base.V))
         return OddFredholmModule(new_base, module.fiber_dim, None)
-    if isinstance(module, EvenFredholmModule):
-        if module.kind == "dirac":
-            if ph.shape != (module.base.dim,):
-                raise InvalidInput("phase vector does not match the box dimension")
-            return dataclasses.replace(module, phases=ph)
-        if ph.shape != (module.fiber_dim,):
-            raise InvalidInput("phase vector does not match the fiber dimension")
-        fiber = {k: (ph[:, None] * v) * ph.conj()[None, :]
-                 for k, v in module.fiber.items()}
-        return dataclasses.replace(module, fiber=fiber)
-    raise UnsupportedForm(f"cannot conjugate {type(module).__name__}")
+    if isinstance(module, BoxFredholmModule):
+        return BoxFredholmModule(module.base, ph)
+    return EvenFredholmModule(
+        {k: _conjugated(ph, v) for k, v in module.fiber.items()}, size)
 
 
 def compactness_report(module) -> CommutatorReport:
@@ -534,7 +522,8 @@ def compactness_report(module) -> CommutatorReport:
             norms[name] = float(np.linalg.norm(c, 2))
             tails[name] = float(np.linalg.norm(c[:, tail], 2)) if tail else 0.0
         return CommutatorReport(module.dim, norms, tails, N // 2)
-    if isinstance(module, EvenFredholmModule) and module.kind == "dirac":
+    if isinstance(module, BoxFredholmModule):
+        # norms are invariant under the diagonal conjugation ``phases``
         rep = module.base
         f0 = rep.F0_diag
         N = rep.N

@@ -80,20 +80,6 @@ def unimodular_inverse(m: Matrix) -> Matrix:
     return tuple(tuple(cof[j][i] * d for j in range(n)) for i in range(n))
 
 
-def random_unimodular(n: int, rng, steps: int = 12) -> Matrix:
-    """Random det +-1 matrix from elementary row operations."""
-    a = [list(row) for row in identity_matrix(n)]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        k = rng.randrange(-3, 4)
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        if rng.random() < 0.3:
-            a[i], a[j] = a[j], a[i]
-    return tuple(tuple(row) for row in a)
-
-
 # --- Smith and Hermite normal forms -----------------------------------------
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncg_torus.errors import InvalidInput, PrecisionExhausted
 from ncg_torus.exact_arith import (
@@ -110,6 +112,29 @@ def test_cf_random_rationals_roundtrip():
             assert cf.digits[-1] >= 2
         value = _fold(digits) if len(digits) > 1 else Fraction(digits[0])
         assert value == Fraction(m, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(whole=st.integers(-50, 50),
+       places=st.text("0123456789", min_size=1, max_size=24),
+       depth=st.integers(1, 20), t=st.fractions(0, 1, max_denominator=10**6))
+def test_cf_decimal_digits_hold_on_the_whole_interval(whole, places, depth, t):
+    # a decimal written with k places stands for [v - u, v + u], u = 10^-k;
+    # every rational in it, endpoints included, must share the emitted digits
+    text = f"{whole}.{places}"
+    for d in range(depth, 0, -1):  # the deepest certified expansion <= depth
+        try:
+            cf = cf_expand(text, d)
+            break
+        except PrecisionExhausted:
+            pass
+    else:
+        assume(False)
+    assume(not cf.terminated)
+    v, u = Fraction(text), Fraction(1, 10 ** len(places))
+    emitted = [cf.a0, *cf.digits]
+    for x in (v - u, v + u, v - u + 2 * u * t):
+        assert _euclid_cf(x.numerator, x.denominator)[:len(emitted)] == emitted
 
 
 def test_cf_negative_and_integer_inputs():

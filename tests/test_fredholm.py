@@ -207,6 +207,9 @@ class TestConjugationInvariance:
             conjugate_module(mod, 2.0 * np.ones(11))
         with pytest.raises(InvalidInput):
             conjugate_module(mod, np.ones(7))
+        for module in (mod, trivial_even(), dirac_module(GOLDEN, 2)):
+            with pytest.raises(InvalidInput):
+                conjugate_module(module, [])
 
 
 class TestDiracPairing:
@@ -232,13 +235,15 @@ class TestDiracPairing:
         assert res.details["sigma_next"] >= 0.3
         assert res.details["cokernel"] == 1 and res.details["kernel"] == 0
 
-    def test_spec_object_is_accepted(self):
-        from ncg_torus.torus_rep import dirac_data
-        rep = dirac_data(GOLDEN, 12)
-        spec = rieffel_projection(GOLDEN, rep)
-        mod = dirac_module(GOLDEN, 12)
-        res = dirac_even_pairing(mod, spec, stability_check=False)
-        assert res.value == -1
+    def test_spec_object_is_rejected(self):
+        # the route rebuilds its projection from a token at every N, so a
+        # spec's matrix (all zeros here) would go unread: refuse it
+        mod = dirac_module(GOLDEN, 8)
+        spec = rieffel_projection(GOLDEN, mod.base, cutoff=3)  # default 4
+        zero = dataclasses.replace(spec, matrix=np.zeros_like(spec.matrix))
+        for p in (spec, zero):
+            with pytest.raises(UnsupportedForm):
+                dirac_even_pairing(mod, p, stability_check=False)
 
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(31)

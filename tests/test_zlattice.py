@@ -18,10 +18,23 @@ from ncg_torus.zlattice import (
     identity_matrix,
     lattice_member,
     mat_mul,
-    random_unimodular,
     smith_normal_form,
     unimodular_inverse,
 )
+
+
+def random_unimodular(n: int, rng, steps: int = 12) -> tuple:
+    """Random det +-1 matrix from elementary row operations."""
+    a = [list(row) for row in identity_matrix(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        k = rng.randrange(-3, 4)
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        if rng.random() < 0.3:
+            a[i], a[j] = a[j], a[i]
+    return tuple(tuple(row) for row in a)
 
 
 def _rand_matrix(rng, rows, cols, lo=-9, hi=9):
