@@ -371,6 +371,36 @@ def dirac_module(theta: ThetaLike, N: int) -> BoxFredholmModule:
 _dirac_cache: dict = {}
 
 
+def _mirror_polish(p: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of the box projection p, and its eigenvectors at or
+    above 1/2 in the box basis.
+
+    The mirror e_{m,n} -> e_{-m,n} composed with complex conjugation maps
+    U -> U*, V -> V and fixes p (the caller checks this on p's coefficients),
+    so in the basis (e_a + e_a')/sqrt2, i(e_a - e_a')/sqrt2 (m_a > 0, a' the
+    mirror of a) and e_z (m_z = 0) p is real symmetric: one real eigh.
+    """
+    side = 2 * N + 1
+    h, hi = N * side, (N + 1) * side  # m < 0 is [0, h), m = 0 is [h, hi)
+    x = p[hi:, hi:]
+    y = p[hi:, :h].reshape(h, N, side)[:, ::-1].reshape(h, h)  # p[a, b']
+    s = np.zeros(p.shape)  # only the upper triangle is read
+    np.add(x.real, y.real, out=s[:h, :h])
+    np.subtract(y.imag, x.imag, out=s[:h, h:2 * h])
+    np.subtract(x.real, y.real, out=s[h:2 * h, h:2 * h])
+    s[:h, 2 * h:] = np.sqrt(2) * p[hi:, h:hi].real
+    s[h:2 * h, 2 * h:] = np.sqrt(2) * p[hi:, h:hi].imag
+    s[2 * h:, 2 * h:] = p[h:hi, h:hi].real
+    w, q = np.linalg.eigh(s, UPLO="U")
+    q = q[:, w >= 0.5]
+    upper = (q[:h] + 1j * q[h:2 * h]) / np.sqrt(2)
+    vec = np.empty((p.shape[0], q.shape[1]), dtype=complex)
+    vec[hi:] = upper
+    vec[:h] = upper.conj().reshape(N, side, -1)[::-1].reshape(h, -1)
+    vec[h:hi] = q[2 * h:]
+    return w, vec
+
+
 def _dirac_single(theta_input: ThetaLike, N: int, rank_tol: float,
                   cutoff: Optional[int], phases: Optional[np.ndarray],
                   rep: Optional[TruncatedZ2Rep] = None) -> dict:
@@ -382,18 +412,17 @@ def _dirac_single(theta_input: ThetaLike, N: int, rank_tol: float,
         rep = dirac_data(theta_input, N)
     f0 = rep.F0_diag
     spec = rieffel_projection(rep.theta_input, rep, cutoff=cutoff)
-    p = spec.matrix
+    # the real polish is exact only for a mirror-symmetric polynomial
+    c = spec.poly.as_dict()
+    mirror = max(abs(c.get((-a, b), 0) - v.conjugate()) for (a, b), v in c.items())
+    if mirror > ADJOINT_TOL:
+        raise NotAProjection(f"mirror defect {mirror:.2e} above {ADJOINT_TOL}")
+    w, wmat = _mirror_polish(spec.matrix, N)
     if phases is not None:
-        # f0 is diagonal, so it commutes with the conjugation and stays put
-        p = _conjugated(phases, p)
-    # MRRR (LAPACK ?heevr) is about twice as fast as numpy's
-    # divide-and-conquer here; scipy is imported only on this path
-    # because its import alone costs about 0.35 s
-    from scipy.linalg import eigh
-    w, q = eigh((p + p.conj().T) / 2, driver="evr", overwrite_a=True)
-    keep = w >= 0.5
+        # the eigenbasis of the conjugated p; f0 and the interior mass are
+        # diagonal, so t and the masses below do not change
+        wmat = phases[:, None] * wmat
     gap = float(np.abs(w - 0.5).min())
-    wmat = q[:, keep]
     t = wmat.conj().T @ (f0[:, None] * wmat)
     us, s, vh = np.linalg.svd(t)
     small = np.nonzero(s < rank_tol)[0]
@@ -413,7 +442,7 @@ def _dirac_single(theta_input: ThetaLike, N: int, rank_tol: float,
             coker += 1
     out = {
         "value": ker - coker, "kernel": ker, "cokernel": coker,
-        "rank": int(keep.sum()),
+        "rank": wmat.shape[1],
         "sigma_min": float(s[-1]) if s.size else None,
         "sigma_next": float(s[-2]) if s.size > 1 else None,
         "gap_half": gap,

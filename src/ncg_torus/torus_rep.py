@@ -441,22 +441,15 @@ def rieffel_projection(theta: ThetaLike, rep, profile: str = "auto",
         # a full SVD here would cost more than the whole build; see the
         # class docstring for why the column sum bounds the norm
         adj = float(np.abs(p - p.conj().T).sum(axis=0).max())
-        # idempotency measured away from the boundary: columns whose image
-        # under p^2 cannot touch the truncation edge
-        margin_m, margin_n = 2 * K, 2
-        w_ = 2 * rep.N + 1
-        cols = [
-            (m + rep.N) * w_ + (n + rep.N)
-            for m in range(-rep.N + margin_m, rep.N - margin_m + 1)
-            for n in range(-rep.N + margin_n, rep.N - margin_n + 1)
-        ]
-        if not cols:
+        # idempotency measured away from the boundary, on the columns
+        # |m| <= N - 2K, |n| <= N - 2 whose image under p^2 cannot touch
+        # the truncation edge; each such column of p^2 - p holds exactly the
+        # coefficients of poly*poly - poly times unit phases
+        if rep.N < max(2 * K, 2):
             raise RepresentationTooSmall(
                 f"box N = {rep.N} too small for Fourier cutoff K = {K}")
-        resid = p @ p[:, cols] - p[:, cols]
-        # worst defect over interior basis vectors (operator norm is too
-        # expensive at these dimensions and gates nothing downstream)
-        idem = float(np.sqrt((np.abs(resid) ** 2).sum(axis=0)).max())
+        resid = poly * poly + poly.scale(-1)
+        idem = math.sqrt(sum(abs(c) ** 2 for _, c in resid.coeffs))
         tr = float(np.trace(p).real) / rep.dim
         return RieffelProjectionSpec(th, delta, profile, "box", p, tr, idem, adj,
                                      poly=poly, degree=K)

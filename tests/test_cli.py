@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,20 @@ class TestPairCommand:
         assert code == 3
         assert out == ""
         assert "instability" in err
+
+    def test_box_pairing_does_not_import_scipy(self):
+        code = ("import sys\n"
+                "from ncg_torus import dirac_even_pairing, dirac_module\n"
+                "dirac_even_pairing(dirac_module('0.45', 4), 'trace-theta',\n"
+                "                   stability_check=False)\n"
+                "print('scipy' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
 
     def test_dirac_unit_class(self, capsys):
         code, out, _ = run_cli(capsys, "pair", "--module", "dirac",

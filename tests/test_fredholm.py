@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncg_torus import fredholm
 from ncg_torus.errors import (
     InvalidInput,
     NotAProjection,
@@ -25,7 +26,13 @@ from ncg_torus.fredholm import (
     even_pairing,
     odd_pairing,
 )
-from ncg_torus.torus_rep import clock_shift, rieffel_projection, truncated_rep
+from ncg_torus.torus_rep import (
+    TorusPolynomial,
+    clock_shift,
+    dirac_data,
+    rieffel_projection,
+    truncated_rep,
+)
 
 GOLDEN = "0.618033988749894848204586834365638117720309179805762862135"
 
@@ -256,6 +263,42 @@ class TestDiracPairing:
         assert got.value == plain.value
         with pytest.raises(InvalidInput):
             dirac_even_pairing(conj, "trace-theta")
+
+    def test_conjugation_keeps_the_evidence(self):
+        rng = np.random.default_rng(8)
+        mod = dirac_module(GOLDEN, 8)
+        plain = dirac_even_pairing(mod, "trace-theta", stability_check=False)
+        conj = conjugate_module(mod, np.exp(2j * np.pi * rng.random(17 * 17)))
+        got = dirac_even_pairing(conj, "trace-theta", stability_check=False)
+        for key in ("sigma_min", "sigma_next", "gap_half"):
+            assert abs(got.details[key] - plain.details[key]) <= 1e-12
+
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("theta", [GOLDEN, "0.45"])
+    def test_real_polish_reproduces_the_complex_route(self, N, theta):
+        p = rieffel_projection(theta, dirac_data(theta, N)).matrix
+        w, vec = fredholm._mirror_polish(p, N)
+        ref_w, ref_q = np.linalg.eigh((p + p.conj().T) / 2)
+        assert np.abs(w - ref_w).max() <= 1e-12
+        kept = ref_q[:, ref_w >= 0.5]
+        assert vec.shape == kept.shape
+        assert np.abs(vec.conj().T @ vec - np.eye(vec.shape[1])).max() <= 1e-12
+        proj = vec @ vec.conj().T
+        assert np.abs(proj - kept @ kept.conj().T).max() <= 1e-10
+
+    def test_mirror_asymmetric_projection_is_rejected(self, monkeypatch):
+        def broken(theta, rep, cutoff=None):
+            spec = rieffel_projection(theta, rep, cutoff=cutoff)
+            d = spec.poly.as_dict()
+            d[(1, 0)] += 1e-6  # (-1, 0) keeps its value
+            poly = TorusPolynomial.from_dict(spec.theta, d)
+            return dataclasses.replace(spec, poly=poly)
+
+        monkeypatch.setattr(fredholm, "rieffel_projection", broken)
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        with pytest.raises(NotAProjection):
+            dirac_even_pairing(dirac_module(GOLDEN, 6), "trace-theta",
+                               stability_check=False)
 
     def test_input_validation(self):
         mod = dirac_module(GOLDEN, 4)

@@ -260,6 +260,26 @@ class TestRieffelProjection:
         p = spec.matrix
         assert np.linalg.norm(p - p.conj().T, 2) <= spec.defect_adjoint <= 1e-12
 
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_box_idempotency_defect_matches_the_matrix(self, N):
+        rep = dirac_data(GOLDEN, N)
+        spec = rieffel_projection(GOLDEN, rep)
+        K, p = spec.degree, spec.matrix
+        cols = [rep.site_index(m, n) for m in range(-N + 2 * K, N - 2 * K + 1)
+                for n in range(-N + 2, N - 1)]
+        resid = p @ p[:, cols] - p[:, cols]
+        worst = np.sqrt((np.abs(resid) ** 2).sum(axis=0)).max()
+        assert abs(spec.defect_idempotent - worst) <= 1e-14
+
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("theta", [GOLDEN, "0.3", "0.45"])
+    def test_box_build_is_mirror_symmetric(self, N, theta):
+        # e_{m,n} -> e_{-m,n} composed with conjugation fixes p
+        rep = dirac_data(theta, N)
+        p = rieffel_projection(theta, rep).matrix
+        r = [rep.site_index(-m, n) for m, n in rep.sites()]
+        assert np.abs(p[r][:, r] - p.conj()).max() <= 1e-15
+
     def test_box_cutoff_too_large(self):
         rep = dirac_data(GOLDEN, 6)
         with pytest.raises(RepresentationTooSmall):
