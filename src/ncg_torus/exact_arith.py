@@ -174,10 +174,6 @@ class ConvergentTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    @property
-    def last_index(self) -> int:
-        return self.rows[-1][0]
-
     def p(self, n: int) -> int:
         if n == -1:
             return 1

@@ -402,28 +402,26 @@ def _mirror_polish(p: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dirac_single(theta_input: ThetaLike, N: int, rank_tol: float,
-                  cutoff: Optional[int], phases: Optional[np.ndarray],
-                  rep: Optional[TruncatedZ2Rep] = None) -> dict:
-    """One trace-theta box pass; ``rep`` is the box rep at (theta_input, N)."""
+                  cutoff: Optional[int], phases: Optional[np.ndarray]) -> dict:
+    """One trace-theta box pass at truncation N."""
     key = (repr(theta_input), N, rank_tol, cutoff)
     if phases is None and key in _dirac_cache:
         return _dirac_cache[key]
-    if rep is None:
-        rep = dirac_data(theta_input, N)
-    f0 = rep.F0_diag
-    spec = rieffel_projection(rep.theta_input, rep, cutoff=cutoff)
+    rep = dirac_data(theta_input, N)
+    spec = rieffel_projection(theta_input, rep, cutoff=cutoff)
     # the real polish is exact only for a mirror-symmetric polynomial
-    c = spec.poly.as_dict()
+    c, build_defect = spec.poly.as_dict(), spec.defect_idempotent
     mirror = max(abs(c.get((-a, b), 0) - v.conjugate()) for (a, b), v in c.items())
     if mirror > ADJOINT_TOL:
         raise NotAProjection(f"mirror defect {mirror:.2e} above {ADJOINT_TOL}")
     w, wmat = _mirror_polish(spec.matrix, N)
+    del spec  # the dense p is not read again: free it before the SVD
     if phases is not None:
         # the eigenbasis of the conjugated p; f0 and the interior mass are
         # diagonal, so t and the masses below do not change
         wmat = phases[:, None] * wmat
     gap = float(np.abs(w - 0.5).min())
-    t = wmat.conj().T @ (f0[:, None] * wmat)
+    t = wmat.conj().T @ (rep.F0_diag[:, None] * wmat)
     us, s, vh = np.linalg.svd(t)
     small = np.nonzero(s < rank_tol)[0]
     margin = max(2, N // 4)
@@ -446,7 +444,7 @@ def _dirac_single(theta_input: ThetaLike, N: int, rank_tol: float,
         "sigma_min": float(s[-1]) if s.size else None,
         "sigma_next": float(s[-2]) if s.size > 1 else None,
         "gap_half": gap,
-        "build_defect": spec.defect_idempotent,
+        "build_defect": build_defect,
     }
     if phases is None:
         _dirac_cache[key] = out
@@ -472,7 +470,7 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
     N = rep.N
     if p == "trace-theta":
         first = _dirac_single(rep.theta_input, N, rank_tol, cutoff,
-                              module.phases, rep)
+                              module.phases)
         value = first["value"]
         details = {k: v for k, v in first.items() if k != "value"}
     elif p == "one":
@@ -552,17 +550,20 @@ def compactness_report(module) -> CommutatorReport:
             tails[name] = float(np.linalg.norm(c[:, tail], 2)) if tail else 0.0
         return CommutatorReport(module.dim, norms, tails, N // 2)
     if isinstance(module, BoxFredholmModule):
-        # norms are invariant under the diagonal conjugation ``phases``
+        # [F0, U] e_{m,n} = (F0[m+1,n] - F0[m,n]) e_{m+1,n} and [F0, V] e_{m,n}
+        # = lambda^m (F0[m,n+1] - F0[m,n]) e_{m,n+1} are weighted partial
+        # permutations, so their 2-norm on any set of columns is the largest
+        # |weight| there; the diagonal conjugation ``phases`` changes no norm
         rep = module.base
-        f0 = rep.F0_diag
         N = rep.N
-        tail = [rep.site_index(m, n) for m, n in rep.sites()
-                if max(abs(m), abs(n)) > N // 2]
+        f = rep.F0_diag.reshape(2 * N + 1, 2 * N + 1)  # f[m + N, n + N]
+        r = np.abs(np.arange(-N, N + 1))
+        far = np.maximum.outer(r, r) > N // 2  # the tail columns
         norms, tails = {}, {}
-        for name, g in (("U", rep.U), ("V", rep.V)):
-            c = f0[:, None] * g - g * f0[None, :]
-            norms[name] = float(np.linalg.norm(c, 2))
-            tails[name] = float(np.linalg.norm(c[:, tail], 2)) if tail else 0.0
+        for name, jump, tail in (("U", f[1:] - f[:-1], far[:-1]),
+                                 ("V", f[:, 1:] - f[:, :-1], far[:, :-1])):
+            norms[name] = float(np.abs(jump).max())
+            tails[name] = float(np.abs(jump[tail]).max())
         return CommutatorReport(rep.dim, norms, tails, N // 2)
     if isinstance(module, EvenFredholmModule):
         norms = {}

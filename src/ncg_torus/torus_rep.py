@@ -23,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -72,9 +73,6 @@ class ClockShiftRep:
     @property
     def dim(self) -> int:
         return self.q
-
-    def relation_defect(self) -> float:
-        return _op_norm(self.V @ self.U - self.lam * self.U @ self.V)
 
 
 def clock_shift(m: int, q: int) -> ClockShiftRep:
@@ -143,13 +141,12 @@ def truncated_rep(theta: ThetaLike, N: int, variant: str = "z1") -> TruncatedZRe
 
 @dataclass(frozen=True)
 class TruncatedZ2Rep:
-    """Box truncation |m|,|n| <= N of the two-index rep, with the phase F0."""
+    """Box truncation |m|,|n| <= N of the two-index rep, with the phase F0;
+    the dense ``U`` and ``V`` are built on first read."""
 
     theta_input: ThetaLike
     theta: float
     N: int
-    U: np.ndarray
-    V: np.ndarray
     F0_diag: np.ndarray  # unit-modulus entries, ordered like the basis
 
     @property
@@ -166,33 +163,34 @@ class TruncatedZ2Rep:
         rng = range(-self.N, self.N + 1)
         return [(m, n) for m in rng for n in rng]
 
+    @cached_property
+    def U(self) -> np.ndarray:
+        return self._shift(1, 0)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return self._shift(0, 1)
+
+    def _shift(self, dm: int, dn: int) -> np.ndarray:
+        """e_{m,n} -> lambda^(m dn) e_{m+dm,n+dn}, outgoing columns zero."""
+        N = self.N
+        lam = cmath.exp(2j * math.pi * self.theta)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for m in range(-N, N + 1 - dm):
+            for n in range(-N, N + 1 - dn):
+                out[self.site_index(m + dm, n + dn), self.site_index(m, n)] = \
+                    lam ** (m * dn)
+        return out
+
 
 def dirac_data(theta: ThetaLike, N: int) -> TruncatedZ2Rep:
-    """Box matrices for U, V and the diagonal phase operator F0."""
+    """Box rep with the diagonal phase operator F0; U and V come lazily."""
     if N < 1:
         raise InvalidInput("N must be >= 1")
-    th = theta_to_float(theta)
-    lam = cmath.exp(2j * math.pi * th)
-    w = 2 * N + 1
-    dim = w * w
-
-    def idx(m, n):
-        return (m + N) * w + (n + N)
-
-    u = np.zeros((dim, dim), dtype=complex)
-    v = np.zeros((dim, dim), dtype=complex)
-    f0 = np.empty(dim, dtype=complex)
-    for m in range(-N, N + 1):
-        for n in range(-N, N + 1):
-            if m < N:
-                u[idx(m + 1, n), idx(m, n)] = 1.0
-            if n < N:
-                v[idx(m, n + 1), idx(m, n)] = lam**m
-            if m == 0 and n == 0:
-                f0[idx(m, n)] = 1.0
-            else:
-                f0[idx(m, n)] = complex(m, n) / math.hypot(m, n)
-    return TruncatedZ2Rep(theta, th, N, u, v, f0)
+    rng = range(-N, N + 1)
+    f0 = np.array([complex(m, n) / math.hypot(m, n) if m or n else 1.0
+                   for m in rng for n in rng], dtype=complex)
+    return TruncatedZ2Rep(theta, theta_to_float(theta), N, f0)
 
 
 # --- polynomial elements of the algebra ---------------------------------------
@@ -364,8 +362,6 @@ class RieffelProjectionSpec:
 
     theta: float
     delta: float
-    profile: str
-    rep_kind: str  # "clock" | "box"
     matrix: np.ndarray
     trace: float
     defect_idempotent: float
@@ -384,13 +380,30 @@ def _fourier_coeffs(fn, K: int, samples: int = 1 << 13) -> np.ndarray:
     return out
 
 
+def rieffel_polynomial(theta: float, K: int, profile: str = "smooth"
+                       ) -> tuple[TorusPolynomial, float]:
+    """The trace-theta element f(U) + V g(U) + g(U)* V*, f and g cut off at
+    Fourier degree K, and the ramp width delta; 0 < theta < 1.  No rep."""
+    f, g, delta = _bump_pair(theta, profile)
+    fhat = _fourier_coeffs(f, K)
+    ghat = _fourier_coeffs(g, K)
+    lam = cmath.exp(2j * math.pi * theta)
+    f_poly = TorusPolynomial.from_dict(
+        theta, {(k, 0): fhat[k + K] for k in range(-K, K + 1)})
+    # V g(U) = sum_k ghat_k lambda^k U^k V, then add its adjoint
+    vg_poly = TorusPolynomial.from_dict(
+        theta, {(k, 1): ghat[k + K] * lam**k for k in range(-K, K + 1)})
+    return f_poly + vg_poly + vg_poly.adjoint(), delta
+
+
 def rieffel_projection(theta: ThetaLike, rep, profile: str = "auto",
                        cutoff: Optional[int] = None) -> RieffelProjectionSpec:
     """Build the trace-theta projection inside the given representation.
 
     Clock-shift reps use exact functional calculus of the shift generator
-    (piecewise-linear profile by default); box reps use a Fourier cutoff of
-    a smooth profile so the truncated series stays close to a projection.
+    (piecewise-linear profile by default); box reps realize
+    ``rieffel_polynomial`` with a smooth profile so the truncated series
+    stays close to a projection.
     """
     th = theta_to_float(theta)
     if not 0.0 < th < 1.0:
@@ -418,39 +431,29 @@ def rieffel_projection(theta: ThetaLike, rep, profile: str = "auto",
         if idem > 1e-8:
             raise RepresentationTooSmall(
                 f"projection defect {idem:.2e} above 1e-8 at q = {q}")
-        return RieffelProjectionSpec(th, delta, profile, "clock", p, tr, idem, adj)
+        return RieffelProjectionSpec(th, delta, p, tr, idem, adj)
     if isinstance(rep, TruncatedZ2Rep):
         if abs(rep.theta - th) > 1e-12:
             raise InvalidInput(
                 f"theta = {th} does not match the representation's {rep.theta}")
-        if profile == "auto":
-            profile = "smooth"
-        f, g, delta = _bump_pair(th, profile)
         # tail quality wants K large, the exactness margin wants 2K <= N
         K = cutoff if cutoff is not None else min(max(6, rep.N // 3), rep.N // 2)
-        fhat = _fourier_coeffs(f, K)
-        ghat = _fourier_coeffs(g, K)
-        lam = cmath.exp(2j * math.pi * th)
-        f_poly = TorusPolynomial.from_dict(
-            th, {(k, 0): fhat[k + K] for k in range(-K, K + 1)})
-        # V g(U) = sum_k ghat_k lambda^k U^k V, then add its adjoint
-        vg_poly = TorusPolynomial.from_dict(
-            th, {(k, 1): ghat[k + K] * lam**k for k in range(-K, K + 1)})
-        poly = f_poly + vg_poly + vg_poly.adjoint()
-        p = poly.realize_box(rep)
-        # a full SVD here would cost more than the whole build; see the
-        # class docstring for why the column sum bounds the norm
-        adj = float(np.abs(p - p.conj().T).sum(axis=0).max())
-        # idempotency measured away from the boundary, on the columns
-        # |m| <= N - 2K, |n| <= N - 2 whose image under p^2 cannot touch
-        # the truncation edge; each such column of p^2 - p holds exactly the
+        # idempotency is measured away from the boundary, on the columns
+        # |m| <= N - 2K, |n| <= N - 2 whose image under p^2 cannot touch the
+        # truncation edge; each such column of p^2 - p holds exactly the
         # coefficients of poly*poly - poly times unit phases
         if rep.N < max(2 * K, 2):
             raise RepresentationTooSmall(
                 f"box N = {rep.N} too small for Fourier cutoff K = {K}")
+        poly, delta = rieffel_polynomial(
+            th, K, "smooth" if profile == "auto" else profile)
+        p = poly.realize_box(rep)
+        # a full SVD here would cost more than the whole build; see the
+        # class docstring for why the column sum bounds the norm
+        adj = float(np.abs(p - p.conj().T).sum(axis=0).max())
         resid = poly * poly + poly.scale(-1)
         idem = math.sqrt(sum(abs(c) ** 2 for _, c in resid.coeffs))
         tr = float(np.trace(p).real) / rep.dim
-        return RieffelProjectionSpec(th, delta, profile, "box", p, tr, idem, adj,
+        return RieffelProjectionSpec(th, delta, p, tr, idem, adj,
                                      poly=poly, degree=K)
     raise UnsupportedForm(f"no Rieffel construction for {type(rep).__name__}")

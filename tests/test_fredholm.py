@@ -328,6 +328,37 @@ class TestCompactnessReport:
             assert large.tail_norms[g] < small.tail_norms[g]
             assert large.tail_norms[g] <= 4.0 / 12
 
+    def test_box_norms_come_from_the_phase_alone(self, monkeypatch):
+        for N in (3, 6):
+            mod = dirac_module(GOLDEN, N)
+            report = compactness_report(mod)
+            rep = mod.base
+            f0 = rep.F0_diag
+            far = [rep.site_index(m, n) for m, n in rep.sites()
+                   if max(abs(m), abs(n)) > N // 2]
+            for g in ("U", "V"):
+                gen = getattr(rep, g)
+                c = f0[:, None] * gen - gen * f0[None, :]
+                assert abs(report.norms[g] - np.linalg.norm(c, 2)) <= 1e-12
+                assert abs(report.tail_norms[g]
+                           - np.linalg.norm(c[:, far], 2)) <= 1e-12
+        # a certified pairing (both passes really run) and the report build
+        # no dense generator, neither on the module nor inside the passes
+        built = []
+
+        def recording(theta, N):
+            built.append(dirac_data(theta, N))
+            return built[-1]
+
+        monkeypatch.setattr(fredholm, "dirac_data", recording)
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        module = dirac_module(GOLDEN, 12)
+        assert dirac_even_pairing(module, "trace-theta").value == -1
+        compactness_report(module)
+        assert [rep.N for rep in built] == [12, 12, 16]
+        for rep in built:
+            assert "U" not in vars(rep) and "V" not in vars(rep)
+
     def test_canonical_report_and_json(self):
         rep = compactness_report(trivial_even())
         obj = rep.to_json_obj()

@@ -120,19 +120,20 @@ class TestDiracData:
         assert np.allclose(np.abs(f0), 1.0, atol=1e-15)
 
     def test_generator_action(self):
+        # every entry: U e_{m,n} = e_{m+1,n}, V e_{m,n} = lambda^m e_{m,n+1},
+        # and the outgoing edge columns are zero
         rep = dirac_data(Fraction(1, 3), 2)
         lam = cmath.exp(2j * math.pi / 3)
-        e10 = np.zeros(rep.dim)
-        e10[rep.site_index(1, 0)] = 1.0
-        out = rep.V @ e10
-        assert abs(out[rep.site_index(1, 1)] - lam) <= 1e-15
-        e00 = np.zeros(rep.dim)
-        e00[rep.site_index(0, 0)] = 1.0
-        assert (rep.U @ e00)[rep.site_index(1, 0)] == 1.0
-        # outgoing edges are dropped
-        eN = np.zeros(rep.dim)
-        eN[rep.site_index(2, 0)] = 1.0
-        assert np.all(rep.U @ eN == 0)
+        for m, n in rep.sites():
+            u_col = np.zeros(rep.dim, dtype=complex)
+            v_col = np.zeros(rep.dim, dtype=complex)
+            if m < 2:
+                u_col[rep.site_index(m + 1, n)] = 1.0
+            if n < 2:
+                v_col[rep.site_index(m, n + 1)] = lam ** m
+            col = rep.site_index(m, n)
+            assert np.array_equal(rep.U[:, col], u_col)
+            assert np.abs(rep.V[:, col] - v_col).max() <= 1e-15
 
     def test_site_index_bounds(self):
         rep = dirac_data(GOLDEN, 2)
