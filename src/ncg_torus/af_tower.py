@@ -32,7 +32,7 @@ from .errors import (
     LevelMismatch,
     MathCheckError,
 )
-from .exact_arith import CFExpansion, ConvergentTable, convergents
+from .exact_arith import CFExpansion, convergents
 
 
 @dataclass(frozen=True)
@@ -170,16 +170,6 @@ def push_k0_class(tower: BratteliTower, vec: tuple, n_from: int,
     for n in range(n_from, n_to):
         v = _mv(tower.step(n).matrix, v)
     return v
-
-
-def khom_pullback_matrix(tower: BratteliTower, n: int) -> tuple:
-    """Coefficient pairs against level n+1 restrict to level n via M itself.
-
-    The multiplicity matrix is symmetric, so the transpose that a pullback
-    formally requires is invisible here; it is still reported through this
-    accessor so callers stay honest about the direction.
-    """
-    return tower.step(n).matrix
 
 
 @dataclass(frozen=True)

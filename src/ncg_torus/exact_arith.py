@@ -96,13 +96,6 @@ class CFExpansion:
     def __len__(self) -> int:
         return len(self.digits)
 
-    def value(self) -> Fraction:
-        """Exact value of the finite expansion (fold from the right)."""
-        acc = Fraction(self.digits[-1]) if self.digits else None
-        for a in reversed(self.digits[:-1]):
-            acc = a + 1 / acc
-        return Fraction(self.a0) if acc is None else self.a0 + 1 / acc
-
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.digits)
         return f"[{self.a0}; {inner}]" if inner else f"[{self.a0}]"

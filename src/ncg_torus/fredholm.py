@@ -48,7 +48,8 @@ from .torus_rep import (
     truncated_rep,
 )
 
-DEFAULT_RANK_TOL = 1e-8
+#: singular values below this count as kernel modes in the odd route
+ODD_RANK_TOL = 1e-8
 #: singular values below this count as kernel modes in the box route
 #: (the observed vortex mode sits at <= 2e-2 for N >= 12 while the next
 #: singular value stays above 0.6)
@@ -77,14 +78,7 @@ class PairingResult:
     details: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "truncation": self.truncation,
-            "rank_tol": self.rank_tol,
-            "stable": self.stable,
-            "details": dict(self.details),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -97,12 +91,7 @@ class CommutatorReport:
     tail_radius: Optional[int]
 
     def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "norms": dict(self.norms),
-            "tail_norms": dict(self.tail_norms),
-            "tail_radius": self.tail_radius,
-        }
+        return dataclasses.asdict(self)
 
 
 # --- unitary words -------------------------------------------------------------
@@ -180,9 +169,6 @@ class EvenFredholmModule:
     def dim(self) -> int:
         return 2 * self.fiber_dim
 
-    def validate(self) -> dict:
-        return {"F_squared_defect": 0.0, "grading_anticommutator": 0.0}
-
 
 @dataclass(frozen=True)
 class BoxFredholmModule:
@@ -198,12 +184,6 @@ class BoxFredholmModule:
     @property
     def dim(self) -> int:
         return 2 * self.base.dim
-
-    def validate(self) -> dict:
-        # F^2 - 1 = diag(|F0|^2 - 1) on each summand; gamma F + F gamma
-        # vanishes because F is off-diagonal in the grading
-        f2 = float(np.abs(np.abs(self.base.F0_diag) ** 2 - 1.0).max())
-        return {"F_squared_defect": f2, "grading_anticommutator": 0.0}
 
 
 @dataclass(frozen=True)
@@ -320,7 +300,6 @@ def _kernel_count(a: np.ndarray, tol: float) -> int:
 
 def odd_pairing(module: OddFredholmModule,
                 u: Union[GeneratorWord, BlockDiagonal, str],
-                rank_tol: float = DEFAULT_RANK_TOL,
                 stability_check: bool = True) -> PairingResult:
     """Index of E u E with E = [k >= 0], domain restricted to the bulk.
 
@@ -348,17 +327,17 @@ def odd_pairing(module: OddFredholmModule,
     ker = coker = 0
     for b in blocks:
         comp = b[half, half]
-        ker += _kernel_count(comp[:, :bulk], rank_tol)
-        coker += _kernel_count(comp.conj().T[:, :bulk], rank_tol)
+        ker += _kernel_count(comp[:, :bulk], ODD_RANK_TOL)
+        coker += _kernel_count(comp.conj().T[:, :bulk], ODD_RANK_TOL)
     value = ker - coker
     details = {"kernel": ker, "cokernel": coker, "bandwidth": bw}
     if stability_check:
         if module.rebuild is None:
             raise InvalidInput("module has no rebuild rule; pass stability_check=False")
         _recheck(value, N, details, lambda n: odd_pairing(
-            module.rebuild(n), u, rank_tol, stability_check=False).value)
-    return PairingResult(value, "kernel-index", N, rank_tol, stability_check,
-                         details)
+            module.rebuild(n), u, stability_check=False).value)
+    return PairingResult(value, "kernel-index", N, ODD_RANK_TOL,
+                         stability_check, details)
 
 
 # --- the two-index box module ----------------------------------------------------
@@ -401,14 +380,14 @@ def _mirror_polish(p: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return w, vec
 
 
-def _dirac_single(theta_input: ThetaLike, N: int, rank_tol: float,
-                  cutoff: Optional[int], phases: Optional[np.ndarray]) -> dict:
+def _dirac_single(theta_input: ThetaLike, N: int,
+                  phases: Optional[np.ndarray]) -> dict:
     """One trace-theta box pass at truncation N."""
-    key = (repr(theta_input), N, rank_tol, cutoff)
+    key = (repr(theta_input), N)
     if phases is None and key in _dirac_cache:
         return _dirac_cache[key]
     rep = dirac_data(theta_input, N)
-    spec = rieffel_projection(theta_input, rep, cutoff=cutoff)
+    spec = rieffel_projection(theta_input, rep)
     # the real polish is exact only for a mirror-symmetric polynomial
     c, build_defect = spec.poly.as_dict(), spec.defect_idempotent
     mirror = max(abs(c.get((-a, b), 0) - v.conjugate()) for (a, b), v in c.items())
@@ -421,9 +400,14 @@ def _dirac_single(theta_input: ThetaLike, N: int, rank_tol: float,
         # diagonal, so t and the masses below do not change
         wmat = phases[:, None] * wmat
     gap = float(np.abs(w - 0.5).min())
+    if gap <= PROJECTION_TOL:
+        # rounding alone decides which side of the cut that eigenvector
+        # falls on, and with it the rank of the compression
+        raise UnstableIndex(
+            f"an eigenvalue of the box projection lies {gap:.1e} from 1/2")
     t = wmat.conj().T @ (rep.F0_diag[:, None] * wmat)
     us, s, vh = np.linalg.svd(t)
-    small = np.nonzero(s < rank_tol)[0]
+    small = np.nonzero(s < DIRAC_RANK_TOL)[0]
     margin = max(2, N // 4)
     side = 2 * N + 1
 
@@ -452,13 +436,11 @@ def _dirac_single(theta_input: ThetaLike, N: int, rank_tol: float,
 
 
 def dirac_even_pairing(module: BoxFredholmModule, p: str,
-                       rank_tol: float = DIRAC_RANK_TOL,
-                       cutoff: Optional[int] = None,
                        stability_check: bool = True) -> PairingResult:
     """Pair the box module with a projection class named by a token.
 
-    "trace-theta" is the Rieffel class, built with ``cutoff`` at every
-    truncation size; "one" and "zero" are the unit and the zero class.
+    "trace-theta" is the Rieffel class, rebuilt at every truncation size;
+    "one" and "zero" are the unit and the zero class.
     Near-kernel singular vectors of the compressed phase are kept only when
     at least half their mass sits margin sites away from the box edge; the
     edge modes they discard are truncation artifacts with no
@@ -469,8 +451,7 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
     rep = module.base
     N = rep.N
     if p == "trace-theta":
-        first = _dirac_single(rep.theta_input, N, rank_tol, cutoff,
-                              module.phases)
+        first = _dirac_single(rep.theta_input, N, module.phases)
         value = first["value"]
         details = {k: v for k, v in first.items() if k != "value"}
     elif p == "one":
@@ -488,8 +469,8 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
             raise InvalidInput(
                 "no rebuild rule for a conjugated module; pass stability_check=False")
         _recheck(value, N, details, lambda n: _dirac_single(
-            rep.theta_input, n, rank_tol, cutoff, None)["value"])
-    return PairingResult(value, "compressed-index", N, rank_tol,
+            rep.theta_input, n, None)["value"])
+    return PairingResult(value, "compressed-index", N, DIRAC_RANK_TOL,
                          stability_check, details)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
@@ -246,13 +246,6 @@ class TorusPolynomial:
     def a00(self) -> complex:
         return dict(self.coeffs).get((0, 0), 0j)
 
-    def degree(self) -> tuple[int, int]:
-        """Max |m|, max |n| over the support."""
-        if not self.coeffs:
-            return (0, 0)
-        return (max(abs(m) for (m, _), _ in self.coeffs),
-                max(abs(n) for (_, n), _ in self.coeffs))
-
     def realize_box(self, rep: TruncatedZ2Rep) -> np.ndarray:
         """Exact compression of the polynomial to the box basis.
 
@@ -370,7 +363,8 @@ class RieffelProjectionSpec:
     degree: int = 0  # Fourier cutoff of the box build
 
 
-def _fourier_coeffs(fn, K: int, samples: int = 1 << 13) -> np.ndarray:
+def _fourier_coeffs(fn, K: int) -> np.ndarray:
+    samples = 1 << 13
     xs = np.arange(samples) / samples
     vals = np.array([fn(x) for x in xs])
     spec = np.fft.fft(vals) / samples
@@ -380,11 +374,11 @@ def _fourier_coeffs(fn, K: int, samples: int = 1 << 13) -> np.ndarray:
     return out
 
 
-def rieffel_polynomial(theta: float, K: int, profile: str = "smooth"
-                       ) -> tuple[TorusPolynomial, float]:
-    """The trace-theta element f(U) + V g(U) + g(U)* V*, f and g cut off at
-    Fourier degree K, and the ramp width delta; 0 < theta < 1.  No rep."""
-    f, g, delta = _bump_pair(theta, profile)
+def rieffel_polynomial(theta: float, K: int) -> tuple[TorusPolynomial, float]:
+    """The trace-theta element f(U) + V g(U) + g(U)* V*, f and g smooth
+    bumps cut off at Fourier degree K, and the ramp width delta;
+    0 < theta < 1.  No rep."""
+    f, g, delta = _bump_pair(theta, "smooth")
     fhat = _fourier_coeffs(f, K)
     ghat = _fourier_coeffs(g, K)
     lam = cmath.exp(2j * math.pi * theta)
@@ -396,14 +390,13 @@ def rieffel_polynomial(theta: float, K: int, profile: str = "smooth"
     return f_poly + vg_poly + vg_poly.adjoint(), delta
 
 
-def rieffel_projection(theta: ThetaLike, rep, profile: str = "auto",
-                       cutoff: Optional[int] = None) -> RieffelProjectionSpec:
+def rieffel_projection(theta: ThetaLike, rep) -> RieffelProjectionSpec:
     """Build the trace-theta projection inside the given representation.
 
     Clock-shift reps use exact functional calculus of the shift generator
-    (piecewise-linear profile by default); box reps realize
-    ``rieffel_polynomial`` with a smooth profile so the truncated series
-    stays close to a projection.
+    with the piecewise-linear profile; box reps realize
+    ``rieffel_polynomial`` (a smooth profile, so the truncated series stays
+    close to a projection) at the cutoff K = min(max(6, N//3), N//2).
     """
     th = theta_to_float(theta)
     if not 0.0 < th < 1.0:
@@ -412,9 +405,7 @@ def rieffel_projection(theta: ThetaLike, rep, profile: str = "auto",
         if abs(rep.theta - th) > 1e-12:
             raise InvalidInput(
                 f"theta = {th} does not match the representation's {rep.theta}")
-        if profile == "auto":
-            profile = "piecewise-linear"
-        f, g, delta = _bump_pair(th, profile)
+        f, g, delta = _bump_pair(th, "piecewise-linear")
         q = rep.q
         # eigenbasis of the cyclic shift: column j has eigenvalue
         # exp(-2 pi i j / q), i.e. circle coordinate x_j = -j/q mod 1
@@ -436,17 +427,17 @@ def rieffel_projection(theta: ThetaLike, rep, profile: str = "auto",
         if abs(rep.theta - th) > 1e-12:
             raise InvalidInput(
                 f"theta = {th} does not match the representation's {rep.theta}")
-        # tail quality wants K large, the exactness margin wants 2K <= N
-        K = cutoff if cutoff is not None else min(max(6, rep.N // 3), rep.N // 2)
+        # tail quality wants K large, the exactness margin wants 2K <= N,
+        # which this rule keeps at every N
+        K = min(max(6, rep.N // 3), rep.N // 2)
         # idempotency is measured away from the boundary, on the columns
         # |m| <= N - 2K, |n| <= N - 2 whose image under p^2 cannot touch the
         # truncation edge; each such column of p^2 - p holds exactly the
         # coefficients of poly*poly - poly times unit phases
-        if rep.N < max(2 * K, 2):
+        if rep.N < 2:
             raise RepresentationTooSmall(
                 f"box N = {rep.N} too small for Fourier cutoff K = {K}")
-        poly, delta = rieffel_polynomial(
-            th, K, "smooth" if profile == "auto" else profile)
+        poly, delta = rieffel_polynomial(th, K)
         p = poly.realize_box(rep)
         # a full SVD here would cost more than the whole build; see the
         # class docstring for why the column sum bounds the norm

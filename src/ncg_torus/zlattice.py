@@ -8,7 +8,8 @@ and sublattice equality is decided through canonical Hermite normal forms
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput, ShapeMismatch
@@ -283,13 +284,7 @@ class ExactnessReport:
     witness: Optional[str] = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "node": self.node,
-            "incoming": self.incoming,
-            "outgoing": self.outgoing,
-            "exact": self.exact,
-            "witness": self.witness,
-        }
+        return dataclasses.asdict(self)
 
 
 def _name_combo(vec: Vector, names: tuple[str, ...]) -> str:

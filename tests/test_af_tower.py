@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from ncg_torus.af_tower import (
     BratteliTower,
     build_tower,
     inverse_limit_coefficients,
-    khom_pullback_matrix,
     pairing_along_tower,
     push_k0_class,
     trace_weights,
@@ -78,6 +78,23 @@ class TestBuildTower:
             tower.step(4)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(digits=strategies.lists(strategies.integers(1, 40), min_size=2,
+                               max_size=40))
+def test_random_digit_towers(digits):
+    tower = build_tower(CFExpansion(0, tuple(digits)), len(digits))
+    for step in tower.steps:
+        lo, hi = tower.level(step.n_from), tower.level(step.n_from + 1)
+        a = digits[step.n_from]  # a_{n+1}
+        assert step.multiplicity == a
+        assert hi.dim_big == a * lo.dim_big + lo.dim_small
+        assert hi.dim_small == lo.dim_big
+        (p, q), (r, s) = step.matrix
+        assert p * s - q * r == -1
+    assert pairing_along_tower(tower, tower.identity_class(1)) == 1
+    assert pairing_along_tower(tower, (1, 0)) == 0
+
+
 class TestK0Transport:
     def test_push_matches_matrix_product(self):
         tower = golden_tower(6)
@@ -92,10 +109,6 @@ class TestK0Transport:
         tower = golden_tower(4)
         with pytest.raises(LevelMismatch):
             push_k0_class(tower, (1, 0), 3, 2)
-
-    def test_pullback_matrix_is_the_step_matrix(self):
-        tower = build_tower(cf_expand(Fraction(15, 11), 10), 3)
-        assert khom_pullback_matrix(tower, 2) == ((3, 1), (1, 0))
 
 
 class TestInverseLimit:

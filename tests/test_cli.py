@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -121,6 +122,17 @@ class TestPairCommand:
         assert out == ""
         assert "instability" in err
 
+    @pytest.mark.parametrize("argv", [("--theta", "1/2", "--N", "4"),
+                                      ("--theta", "0.5", "--N", "3")])
+    def test_dirac_eigenvalue_at_one_half_exits_3(self, capsys, argv):
+        # at theta = 1/2 an eigenvalue of the box projection sits on the
+        # 1/2 cut, so rounding would pick the rank: refuse to certify
+        code, out, err = run_cli(capsys, "pair", "--module", "dirac",
+                                 "--class", "p", *argv)
+        assert code == 3
+        assert out == ""
+        assert "1/2" in err
+
     def test_box_pairing_does_not_import_scipy(self):
         code = ("import sys\n"
                 "from ncg_torus import dirac_even_pairing, dirac_module\n"
@@ -225,3 +237,31 @@ class TestRepDumpCommand:
     def test_clock_rejects_irrational(self, capsys):
         assert run_cli(capsys, "rep-dump", "--rep", "clock",
                        "--theta", "golden")[0] == 2
+
+
+#: sha256 of stdout for calls whose output holds no BLAS-dependent float,
+#: so the bytes are the same on every host; a change to any of them is a
+#: change to the CLI's output
+PINNED_STDOUT = [
+    (("cf", "--theta", "15/11", "--depth", "10"), 0,
+     "2e8e845568f4419af32e256310059cb32fa6e8c6d44855a4e58cf9cb1b52691d"),
+    (("cf", "--theta", "golden", "--depth", "30"), 0,
+     "da5e1bc15913c596b649914721263fb64586b19af2376595e419b10be9a6c372"),
+    (("tower", "--theta", "golden", "--depth", "12", "--horizon", "10"), 0,
+     "2484dbc311ce424e92d3c98768d029ac7211d8dbd9a5ace2377012784383928b"),
+    (("sequence", "--which", "khomology", "--perturb", "d0=1,1"), 4,
+     "28ab0ecbb56240280c2dd4c903e7921c2367a51164415d5a6a63c4b8032dce09"),
+    (("pair", "--module", "z1", "--class", "U", "--power", "2", "--N", "16"), 0,
+     "afa9be249e1a1c91614373203bef77584b9e7fbd53a81d1c51ecc6fbc9d89bcb"),
+    (("rep-dump", "--rep", "dirac", "--theta", "0.3", "--N", "2"), 0,
+     "bbde3b63722ff412c63a9bafd9c8c3ea1cb9b9fcfe07f9af9496442a8fbadf6b"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", PINNED_STDOUT,
+                         ids=[" ".join(c[0][:3]) for c in PINNED_STDOUT])
+def test_stdout_bytes_are_pinned(capsys, monkeypatch, argv, exit_code, digest):
+    monkeypatch.delenv("NCG_TORUS_PRECISION", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncg_torus.errors import ShapeMismatch
 from ncg_torus.zlattice import (
@@ -80,7 +82,41 @@ def test_snf_random_reconstruction():
             assert b % a == 0
 
 
+@st.composite
+def int_matrices(draw, lo=-9, hi=9):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return tuple(tuple(draw(st.integers(lo, hi)) for _ in range(cols))
+                 for _ in range(rows))
+
+
+def _diagonal(d: tuple) -> list:
+    return [d[i][i] for i in range(min(len(d), len(d[0])))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(m=int_matrices(), rng=st.randoms(use_true_random=False))
+def test_snf_invariant_under_unimodular_equivalence(m, rng):
+    a = random_unimodular(len(m), rng)
+    b = random_unimodular(len(m[0]), rng)
+    amb = mat_mul(mat_mul(a, m), b)
+    u, d, v = smith_normal_form(amb)
+    assert mat_mul(mat_mul(u, amb), v) == d
+    diag = _diagonal(d)
+    assert diag == _diagonal(smith_normal_form(m)[1])
+    for x, y in zip(diag, diag[1:]):
+        assert (y % x == 0) if x else y == 0
+
+
 # --- Hermite form and lattice comparison --------------------------------------
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(gens=int_matrices(-6, 6), rng=st.randoms(use_true_random=False))
+def test_hnf_invariant_under_generator_mixing(gens, rng):
+    k, dim = len(gens), len(gens[0])
+    s = random_unimodular(k, rng)
+    mixed = mat_mul(s, gens)
+    assert hermite_normal_form(mixed, dim) == hermite_normal_form(gens, dim)
+
 
 def test_hnf_canonical_under_unimodular_change():
     rng = random.Random(3)
