@@ -154,6 +154,7 @@ def _pair_even_clock(theta: Fraction, klass: str) -> dict:
 
 def cmd_pair(args) -> dict:
     theta = _theta_text(args.theta)
+    parse_theta(theta)  # z0 reads no angle, but junk is rejected everywhere
     klass = args.klass
     if args.module in ("z0", "z0prime"):
         if klass not in ("1", "p"):
@@ -237,8 +238,11 @@ def cmd_tower(args) -> dict:
         "trace_weights": weights.to_json_obj(),
     }
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(tower.to_dot())
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(tower.to_dot())
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {args.dot!r}: {exc.strerror}") from None
         out["dot_written"] = args.dot
     return out
 

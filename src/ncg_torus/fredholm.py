@@ -25,6 +25,7 @@ sits in the bulk.  Truncation artifacts live at the edge in both cases.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -44,7 +45,7 @@ from .torus_rep import (
     TruncatedZ2Rep,
     TruncatedZRep,
     dirac_data,
-    rieffel_projection,
+    rieffel_polynomial,
     truncated_rep,
 )
 
@@ -387,14 +388,25 @@ def _dirac_single(theta_input: ThetaLike, N: int,
     if phases is None and key in _dirac_cache:
         return _dirac_cache[key]
     rep = dirac_data(theta_input, N)
-    spec = rieffel_projection(theta_input, rep)
+    # tail quality wants K large, the exactness margin wants 2K <= N,
+    # which this rule keeps at every N
+    K = min(max(6, N // 3), N // 2)
+    poly, _ = rieffel_polynomial(rep.theta, K)
+    if N < 2:
+        raise RepresentationTooSmall(
+            f"box N = {N} too small for Fourier cutoff K = {K}")
+    # idempotency is measured away from the boundary, on the columns
+    # |m| <= N - 2K, |n| <= N - 2 whose image under p^2 cannot touch the
+    # truncation edge; each such column of p^2 - p holds exactly the
+    # coefficients of poly*poly - poly times unit phases
+    resid = poly * poly + poly.scale(-1)
+    build_defect = math.sqrt(sum(abs(v) ** 2 for _, v in resid.coeffs))
     # the real polish is exact only for a mirror-symmetric polynomial
-    c, build_defect = spec.poly.as_dict(), spec.defect_idempotent
+    c = poly.as_dict()
     mirror = max(abs(c.get((-a, b), 0) - v.conjugate()) for (a, b), v in c.items())
     if mirror > ADJOINT_TOL:
         raise NotAProjection(f"mirror defect {mirror:.2e} above {ADJOINT_TOL}")
-    w, wmat = _mirror_polish(spec.matrix, N)
-    del spec  # the dense p is not read again: free it before the SVD
+    w, wmat = _mirror_polish(poly.realize_box(rep), N)
     if phases is not None:
         # the eigenbasis of the conjugated p; f0 and the interior mass are
         # diagonal, so t and the masses below do not change
@@ -440,7 +452,7 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
     """Pair the box module with a projection class named by a token.
 
     "trace-theta" is the Rieffel class, rebuilt at every truncation size;
-    "one" and "zero" are the unit and the zero class.
+    "one" is the unit class.
     Near-kernel singular vectors of the compressed phase are kept only when
     at least half their mass sits margin sites away from the box edge; the
     edge modes they discard are truncation artifacts with no
@@ -458,12 +470,9 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
         # full range; the compression is the unitary phase itself
         value, details = 0, {"kernel": 0, "cokernel": 0, "rank": rep.dim,
                              "sigma_min": 1.0, "sigma_next": 1.0, "gap_half": 0.5}
-    elif p == "zero":
-        value, details = 0, {"kernel": 0, "cokernel": 0, "rank": 0, "sigma_min": None,
-                             "sigma_next": None, "gap_half": None}
     else:
-        raise UnsupportedForm("pass the class token 'trace-theta', 'one' or 'zero'")
-    # "one" / "zero" compress to an exact unitary / to nothing: no recheck
+        raise UnsupportedForm("pass the class token 'trace-theta' or 'one'")
+    # "one" compresses to an exact unitary: no recheck
     if stability_check and p == "trace-theta":
         if module.phases is not None:
             raise InvalidInput(

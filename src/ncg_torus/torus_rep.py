@@ -306,6 +306,8 @@ def _bump_pair(theta: float, profile: str):
     g(x + theta) != 0  and keep g(x) g(x + theta) = 0, which together force
     p^2 = p for p = f(U) + V g(U) + g(U)* V*.
     """
+    if not 0.0 < theta < 1.0:
+        raise ThetaOutOfRange(f"theta = {theta} outside (0, 1)")
     delta = min(theta, 1.0 - theta) / 4.0
     if profile == "piecewise-linear":
         ramp = lambda t: t
@@ -345,22 +347,13 @@ def _bump_pair(theta: float, profile: str):
 
 @dataclass(frozen=True)
 class RieffelProjectionSpec:
-    """An assembled trace-theta projection p = f(U) + V g(U) + g(U)* V*.
+    """An assembled trace-theta projection p = f(U) + V g(U) + g(U)* V*
+    with the operator norms of p^2 - p and p - p*."""
 
-    ``defect_adjoint`` is the operator norm of p - p* on clock builds.  On
-    box builds it is the largest column sum of |p - p*|, an upper bound on
-    that norm: for an anti-Hermitian A the 1- and infinity-norms coincide,
-    and ||A||_2 <= sqrt(||A||_1 ||A||_inf).
-    """
-
-    theta: float
-    delta: float
     matrix: np.ndarray
     trace: float
     defect_idempotent: float
     defect_adjoint: float
-    poly: Optional[TorusPolynomial] = None  # set for box builds
-    degree: int = 0  # Fourier cutoff of the box build
 
 
 def _fourier_coeffs(fn, K: int) -> np.ndarray:
@@ -391,60 +384,31 @@ def rieffel_polynomial(theta: float, K: int) -> tuple[TorusPolynomial, float]:
 
 
 def rieffel_projection(theta: ThetaLike, rep) -> RieffelProjectionSpec:
-    """Build the trace-theta projection inside the given representation.
-
-    Clock-shift reps use exact functional calculus of the shift generator
-    with the piecewise-linear profile; box reps realize
-    ``rieffel_polynomial`` (a smooth profile, so the truncated series stays
-    close to a projection) at the cutoff K = min(max(6, N//3), N//2).
-    """
+    """Build the trace-theta projection in a clock-shift representation by
+    exact functional calculus of the shift generator, with the
+    piecewise-linear profile.  The box route realizes
+    ``rieffel_polynomial`` instead."""
     th = theta_to_float(theta)
-    if not 0.0 < th < 1.0:
-        raise ThetaOutOfRange(f"theta = {th} outside (0, 1)")
-    if isinstance(rep, ClockShiftRep):
-        if abs(rep.theta - th) > 1e-12:
-            raise InvalidInput(
-                f"theta = {th} does not match the representation's {rep.theta}")
-        f, g, delta = _bump_pair(th, "piecewise-linear")
-        q = rep.q
-        # eigenbasis of the cyclic shift: column j has eigenvalue
-        # exp(-2 pi i j / q), i.e. circle coordinate x_j = -j/q mod 1
-        j = np.arange(q)
-        w = np.exp(2j * math.pi * np.outer(j, j) / q) / math.sqrt(q)
-        xs = (-j / q) % 1.0
-        fu = w @ np.diag([f(x) for x in xs]) @ w.conj().T
-        gu = w @ np.diag([g(x) for x in xs]) @ w.conj().T
-        vg = rep.V @ gu
-        p = fu + vg + vg.conj().T
-        idem = _op_norm(p @ p - p)
-        adj = _op_norm(p - p.conj().T)
-        tr = float(np.trace(p).real) / q
-        if idem > 1e-8:
-            raise RepresentationTooSmall(
-                f"projection defect {idem:.2e} above 1e-8 at q = {q}")
-        return RieffelProjectionSpec(th, delta, p, tr, idem, adj)
-    if isinstance(rep, TruncatedZ2Rep):
-        if abs(rep.theta - th) > 1e-12:
-            raise InvalidInput(
-                f"theta = {th} does not match the representation's {rep.theta}")
-        # tail quality wants K large, the exactness margin wants 2K <= N,
-        # which this rule keeps at every N
-        K = min(max(6, rep.N // 3), rep.N // 2)
-        # idempotency is measured away from the boundary, on the columns
-        # |m| <= N - 2K, |n| <= N - 2 whose image under p^2 cannot touch the
-        # truncation edge; each such column of p^2 - p holds exactly the
-        # coefficients of poly*poly - poly times unit phases
-        if rep.N < 2:
-            raise RepresentationTooSmall(
-                f"box N = {rep.N} too small for Fourier cutoff K = {K}")
-        poly, delta = rieffel_polynomial(th, K)
-        p = poly.realize_box(rep)
-        # a full SVD here would cost more than the whole build; see the
-        # class docstring for why the column sum bounds the norm
-        adj = float(np.abs(p - p.conj().T).sum(axis=0).max())
-        resid = poly * poly + poly.scale(-1)
-        idem = math.sqrt(sum(abs(c) ** 2 for _, c in resid.coeffs))
-        tr = float(np.trace(p).real) / rep.dim
-        return RieffelProjectionSpec(th, delta, p, tr, idem, adj,
-                                     poly=poly, degree=K)
-    raise UnsupportedForm(f"no Rieffel construction for {type(rep).__name__}")
+    f, g, _ = _bump_pair(th, "piecewise-linear")
+    if not isinstance(rep, ClockShiftRep):
+        raise UnsupportedForm(f"no Rieffel construction for {type(rep).__name__}")
+    if abs(rep.theta - th) > 1e-12:
+        raise InvalidInput(
+            f"theta = {th} does not match the representation's {rep.theta}")
+    q = rep.q
+    # eigenbasis of the cyclic shift: column j has eigenvalue
+    # exp(-2 pi i j / q), i.e. circle coordinate x_j = -j/q mod 1
+    j = np.arange(q)
+    w = np.exp(2j * math.pi * np.outer(j, j) / q) / math.sqrt(q)
+    xs = (-j / q) % 1.0
+    fu = w @ np.diag([f(x) for x in xs]) @ w.conj().T
+    gu = w @ np.diag([g(x) for x in xs]) @ w.conj().T
+    vg = rep.V @ gu
+    p = fu + vg + vg.conj().T
+    idem = _op_norm(p @ p - p)
+    adj = _op_norm(p - p.conj().T)
+    tr = float(np.trace(p).real) / q
+    if idem > 1e-8:
+        raise RepresentationTooSmall(
+            f"projection defect {idem:.2e} above 1e-8 at q = {q}")
+    return RieffelProjectionSpec(p, tr, idem, adj)

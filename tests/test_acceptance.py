@@ -31,7 +31,13 @@ from ncg_torus.fredholm import (
     even_pairing,
     odd_pairing,
 )
-from ncg_torus.torus_rep import clock_shift, dirac_data, rieffel_projection, truncated_rep
+from ncg_torus.torus_rep import (
+    clock_shift,
+    dirac_data,
+    rieffel_polynomial,
+    rieffel_projection,
+    truncated_rep,
+)
 from ncg_torus.zlattice import builtin_khomology_sequence, builtin_ktheory_sequence
 
 GOLDEN = golden_string(60)
@@ -233,8 +239,9 @@ def test_criterion_08_exact_trace_at_the_horizon(criterion):
     theta = Fraction(GOLDEN)  # certified within 1e-60 of the true angle
     bound = table.error_bound(40)
     assert abs(tau - theta) <= bound, f"|tau - theta| > {bound}"
-    spec = rieffel_projection(GOLDEN, dirac_data(GOLDEN, 16))
-    assert abs(spec.trace - float(tau)) <= 1e-6
+    rep = dirac_data(GOLDEN, 16)
+    p = rieffel_polynomial(rep.theta, 6)[0].realize_box(rep)  # the box pass's K
+    assert abs(np.trace(p).real / rep.dim - float(tau)) <= 1e-6
     criterion(f"|tau(p1) - theta| <= 1/(q40*q41) = {float(bound):.3e}, trace cross-check 1e-6")
 
 

@@ -133,6 +133,25 @@ class TestPairCommand:
         assert out == ""
         assert "1/2" in err
 
+    @pytest.mark.parametrize("argv,exit_code", [
+        (("--theta", "0", "--N", "4"), 2),
+        (("--theta", "1", "--N", "4"), 2),
+        (("--theta", "0", "--N", "1"), 2),  # the angle is checked first
+        (("--N", "1"), 3),
+    ])
+    def test_dirac_box_gates(self, capsys, argv, exit_code):
+        code, out, _ = run_cli(capsys, "pair", "--module", "dirac",
+                               "--class", "p", *argv)
+        assert code == exit_code
+        assert out == ""
+
+    @pytest.mark.parametrize("theta", ["bogus", "7/0"])
+    def test_z0_rejects_a_malformed_theta(self, capsys, theta):
+        code, out, err = run_cli(capsys, "pair", "--module", "z0",
+                                 "--class", "1", "--theta", theta)
+        assert code == 2 and out == ""
+        assert "input error" in err
+
     def test_box_pairing_does_not_import_scipy(self):
         code = ("import sys\n"
                 "from ncg_torus import dirac_even_pairing, dirac_module\n"
@@ -203,6 +222,14 @@ class TestTowerCommand:
         text = target.read_text()
         assert text.startswith("digraph tower {")
         assert json.loads(out)["dot_written"] == str(target)
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_dot_path_exits_2(self, capsys, tmp_path, where):
+        target = tmp_path / "no" / "x.dot" if where == "missing" else tmp_path
+        code, out, err = run_cli(capsys, "tower", "--theta", "golden",
+                                 "--dot", str(target))
+        assert code == 2 and out == ""
+        assert "input error" in err
 
     def test_rational_runs_out_of_floors(self, capsys):
         code, _, err = run_cli(capsys, "tower", "--theta", "15/11",

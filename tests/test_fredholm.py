@@ -30,6 +30,7 @@ from ncg_torus.torus_rep import (
     TorusPolynomial,
     clock_shift,
     dirac_data,
+    rieffel_polynomial,
     rieffel_projection,
     truncated_rep,
 )
@@ -217,7 +218,8 @@ class TestDiracPairing:
     def test_unit_and_zero_classes_pair_to_zero(self):
         mod = dirac_module(GOLDEN, 6)
         assert dirac_even_pairing(mod, "one").value == 0
-        assert dirac_even_pairing(mod, "zero").value == 0
+        with pytest.raises(UnsupportedForm):
+            dirac_even_pairing(mod, "zero")
 
     def test_bump_class_pairs_to_minus_one(self):
         mod = dirac_module(GOLDEN, 12)
@@ -237,11 +239,17 @@ class TestDiracPairing:
             dirac_even_pairing(dirac_module("1/2", 12), "trace-theta",
                                stability_check=False)
 
+    def test_box_cutoff_too_large(self):
+        # the K rule gives K = 0 at N = 1: no room for the build
+        with pytest.raises(RepresentationTooSmall):
+            dirac_even_pairing(dirac_module(GOLDEN, 1), "trace-theta",
+                               stability_check=False)
+
     def test_spec_object_is_rejected(self):
         # the route rebuilds its projection from a token at every N, so a
         # spec's matrix (all zeros here) would go unread: refuse it
         mod = dirac_module(GOLDEN, 8)
-        spec = rieffel_projection(GOLDEN, mod.base)
+        spec = rieffel_projection(Fraction(2, 5), clock_shift(2, 5))
         zero = dataclasses.replace(spec, matrix=np.zeros_like(spec.matrix))
         for p in (spec, zero):
             with pytest.raises(UnsupportedForm):
@@ -271,7 +279,8 @@ class TestDiracPairing:
     @pytest.mark.parametrize("N", [4, 6])
     @pytest.mark.parametrize("theta", [GOLDEN, "0.45"])
     def test_real_polish_reproduces_the_complex_route(self, N, theta):
-        p = rieffel_projection(theta, dirac_data(theta, N)).matrix
+        rep = dirac_data(theta, N)
+        p = rieffel_polynomial(rep.theta, N // 2)[0].realize_box(rep)
         w, vec = fredholm._mirror_polish(p, N)
         ref_w, ref_q = np.linalg.eigh((p + p.conj().T) / 2)
         assert np.abs(w - ref_w).max() <= 1e-12
@@ -282,14 +291,13 @@ class TestDiracPairing:
         assert np.abs(proj - kept @ kept.conj().T).max() <= 1e-10
 
     def test_mirror_asymmetric_projection_is_rejected(self, monkeypatch):
-        def broken(theta, rep):
-            spec = rieffel_projection(theta, rep)
-            d = spec.poly.as_dict()
+        def broken(theta, K):
+            poly, delta = rieffel_polynomial(theta, K)
+            d = poly.as_dict()
             d[(1, 0)] += 1e-6  # (-1, 0) keeps its value
-            poly = TorusPolynomial.from_dict(spec.theta, d)
-            return dataclasses.replace(spec, poly=poly)
+            return TorusPolynomial.from_dict(theta, d), delta
 
-        monkeypatch.setattr(fredholm, "rieffel_projection", broken)
+        monkeypatch.setattr(fredholm, "rieffel_polynomial", broken)
         monkeypatch.setattr(fredholm, "_dirac_cache", {})
         with pytest.raises(NotAProjection):
             dirac_even_pairing(dirac_module(GOLDEN, 6), "trace-theta",

@@ -4,20 +4,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from ncg_torus.errors import (
     InvalidInput,
     NotCoprime,
-    RepresentationTooSmall,
     ThetaOutOfRange,
     UnsupportedForm,
 )
+from ncg_torus.fredholm import dirac_even_pairing, dirac_module
 from ncg_torus.torus_rep import (
     TorusPolynomial,
     _bump_pair,
     canonical_trace,
     clock_shift,
     dirac_data,
+    rieffel_polynomial,
     rieffel_projection,
     truncated_rep,
 )
@@ -186,6 +188,31 @@ class TestTorusPolynomial:
         assert np.allclose(via_formula[:, bulk], via_products[:, bulk], atol=1e-12)
 
 
+_box_polys = strategies.dictionaries(
+    strategies.tuples(strategies.integers(-2, 2), strategies.integers(-2, 2)),
+    strategies.complex_numbers(max_magnitude=2, allow_nan=False,
+                               allow_infinity=False),
+    max_size=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(theta=strategies.floats(0.01, 0.99), N=strategies.integers(3, 6),
+       x=_box_polys, y=_box_polys)
+def test_box_realization_is_a_star_homomorphism_in_bulk(theta, N, x, y):
+    # the identity build_defect rests on: the realized p^2 - p is the
+    # realized poly*poly - poly on columns whose image stays in the box
+    rep = dirac_data(theta, N)
+    x = TorusPolynomial.from_dict(theta, x)
+    y = TorusPolynomial.from_dict(theta, y)
+    rx = x.realize_box(rep)
+    adj = x.adjoint().realize_box(rep)
+    assert np.abs(adj - rx.conj().T).max() <= 1e-12
+    bulk = [rep.site_index(m, n) for m in range(2 - N, N - 1)
+            for n in range(2 - N, N - 1)]
+    prod = rx @ y.realize_box(rep)[:, bulk]
+    assert np.abs((x * y).realize_box(rep)[:, bulk] - prod).max() <= 1e-12
+
+
 class TestCanonicalTrace:
     def test_polynomial_form_reads_constant_term(self):
         x = TorusPolynomial.from_dict(0.41, {(0, 0): 3.0, (2, 1): 5.0, (-1, 0): 2j})
@@ -243,45 +270,37 @@ class TestRieffelProjection:
         assert int(round(w.sum())) == m
 
     def test_box_build_trace_and_symmetry(self):
-        rep = dirac_data(GOLDEN, 10)
-        spec = rieffel_projection(GOLDEN, rep)
         th = float(Fraction(GOLDEN))
-        assert abs(spec.poly.a00().real - th) <= 1e-9
-        assert abs(spec.trace - th) <= 1e-9
-        assert spec.defect_adjoint <= 1e-12
-        assert spec.defect_idempotent <= 0.2  # Fourier tail, polished downstream
-
-    @pytest.mark.parametrize("N", [4, 6])
-    def test_box_adjoint_defect_bounds_the_operator_norm(self, N):
-        spec = rieffel_projection(GOLDEN, dirac_data(GOLDEN, N))
-        p = spec.matrix
-        assert np.linalg.norm(p - p.conj().T, 2) <= spec.defect_adjoint <= 1e-12
+        for N, K in ((4, 2), (6, 3), (10, 5)):
+            rep = dirac_data(GOLDEN, N)
+            poly, _ = rieffel_polynomial(rep.theta, K)
+            p = poly.realize_box(rep)
+            assert abs(poly.a00().real - th) <= 1e-9
+            assert abs(np.trace(p).real / rep.dim - th) <= 1e-9
+            assert np.linalg.norm(p - p.conj().T, 2) <= 1e-12
 
     @pytest.mark.parametrize("N", [8, 12])
     def test_box_idempotency_defect_matches_the_matrix(self, N):
+        K = min(max(6, N // 3), N // 2)  # the box pass's rule: 4 and 6
+        res = dirac_even_pairing(dirac_module(GOLDEN, N), "trace-theta",
+                                 stability_check=False)
         rep = dirac_data(GOLDEN, N)
-        spec = rieffel_projection(GOLDEN, rep)
-        K, p = spec.degree, spec.matrix
+        p = rieffel_polynomial(rep.theta, K)[0].realize_box(rep)
         cols = [rep.site_index(m, n) for m in range(-N + 2 * K, N - 2 * K + 1)
                 for n in range(-N + 2, N - 1)]
         resid = p @ p[:, cols] - p[:, cols]
         worst = np.sqrt((np.abs(resid) ** 2).sum(axis=0)).max()
-        assert abs(spec.defect_idempotent - worst) <= 1e-14
+        assert abs(res.details["build_defect"] - worst) <= 1e-14
+        assert worst <= 0.2  # Fourier tail, polished downstream
 
     @pytest.mark.parametrize("N", [4, 6])
     @pytest.mark.parametrize("theta", [GOLDEN, "0.3", "0.45"])
     def test_box_build_is_mirror_symmetric(self, N, theta):
         # e_{m,n} -> e_{-m,n} composed with conjugation fixes p
         rep = dirac_data(theta, N)
-        p = rieffel_projection(theta, rep).matrix
+        p = rieffel_polynomial(rep.theta, N // 2)[0].realize_box(rep)
         r = [rep.site_index(-m, n) for m, n in rep.sites()]
         assert np.abs(p[r][:, r] - p.conj()).max() <= 1e-15
-
-    def test_box_cutoff_too_large(self):
-        # the default rule gives K = 0 at N = 1: no room for the build
-        rep = dirac_data(GOLDEN, 1)
-        with pytest.raises(RepresentationTooSmall):
-            rieffel_projection(GOLDEN, rep)
 
     def test_input_validation(self):
         rep = clock_shift(1, 2)
@@ -291,3 +310,8 @@ class TestRieffelProjection:
             rieffel_projection(Fraction(1, 3), rep)  # rep is at 1/2
         with pytest.raises(UnsupportedForm):
             rieffel_projection(GOLDEN, truncated_rep(GOLDEN, 4))
+        with pytest.raises(UnsupportedForm):
+            rieffel_projection(GOLDEN, dirac_data(GOLDEN, 8))
+        for theta in (0.0, 1.0):
+            with pytest.raises(ThetaOutOfRange):
+                rieffel_polynomial(theta, 2)
