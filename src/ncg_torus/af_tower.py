@@ -216,17 +216,20 @@ def pairing_along_tower(tower: BratteliTower, vec: tuple,
                         coeffs: Optional[KHomCoefficients] = None) -> int:
     """Pair a level-1 K0 vector against the inverse-limit functional.
 
-    The value is computed independently at every level after pushing the
-    class forward; any disagreement means the transports are inconsistent
-    and is raised, not averaged away.
+    One upward sweep carries the class a level at a time and pairs it at
+    every level; each level's value is still compared with the others, and
+    any disagreement means the transports are inconsistent and is raised,
+    not averaged away.
     """
     if coeffs is None:
         coeffs = inverse_limit_coefficients(tower)
+    w = (int(vec[0]), int(vec[1]))
     values = []
     for n in range(1, tower.depth + 1):
-        w = push_k0_class(tower, vec, 1, n)
         c = coeffs.vector(n)
         values.append(c[0] * w[0] + c[1] * w[1])
+        if n < tower.depth:
+            w = _mv(tower.step(n).matrix, w)
     if any(v != values[0] for v in values):
         raise MathCheckError(f"pairing drifted along the tower: {values}")
     return values[0]
@@ -254,13 +257,12 @@ class TraceWeightVector:
 
 
 def _transport_weights(tower: BratteliTower, n: int, horizon: int) -> tuple:
-    s = (Fraction(1), Fraction(0))
+    s = (1, 0)
     for k in range(horizon - 1, n - 1, -1):
-        m = tower.step(k).matrix
-        s = (m[0][0] * s[0] + m[0][1] * s[1], m[1][0] * s[0] + m[1][1] * s[1])
+        s = _mv(tower.step(k).matrix, s)
     lv = tower.level(n)
     total = s[0] * lv.dim_big + s[1] * lv.dim_small
-    return (s[0] / total, s[1] / total)
+    return (Fraction(s[0], total), Fraction(s[1], total))
 
 
 def trace_weights(tower: BratteliTower, n: int,

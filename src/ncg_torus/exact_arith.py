@@ -1,20 +1,21 @@
 """Exact rational arithmetic and certified continued-fraction expansion.
 
-Rationals are stdlib ``fractions.Fraction`` throughout; integers are Python
-bigints, so every identity in this module is checked exactly, never in
-floating point.
+Rationals are stdlib ``fractions.Fraction`` at the interface, and the
+expansion runs Euclid on integer (numerator, denominator) pairs; integers
+are Python bigints, so every identity in this module is checked exactly,
+never in floating point.
 
 Input conventions for theta:
 
 * ``"m/n"`` (or a ``Fraction``/``int``) is exact.
 * A decimal string like ``"0.61803398874989484820"`` stands for an unknown
   real in the interval [v - u, v + u], u = one unit in the last written
-  decimal place.  Digits of the expansion are emitted only while every real
-  in that interval shares them; otherwise the expansion aborts with
-  ``PrecisionExhausted`` instead of guessing.  The one exception is a clean
-  termination: if the written value itself is exactly rational and its own
-  expansion ends at the ambiguous step (e.g. "0.5"), the terminating
-  expansion is returned.
+  decimal place, exponent included ("1.5e2" has u = 10).  Digits of the
+  expansion are emitted only while every real in that interval shares
+  them; otherwise the expansion aborts with ``PrecisionExhausted``
+  instead of guessing.  The one exception is a clean termination: if the
+  written value itself is exactly rational and its own expansion ends at
+  the ambiguous step (e.g. "0.5"), the terminating expansion is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import InvalidInput, PrecisionExhausted
 
@@ -53,9 +54,9 @@ def parse_theta(text: ThetaLike) -> tuple[Fraction, Fraction]:
         value = Fraction(s)
     except ValueError as exc:
         raise InvalidInput(f"bad decimal {text!r}") from exc
-    if "." in s:
-        frac_digits = len(s.split(".", 1)[1].rstrip())
-        radius = Fraction(1, 10**frac_digits)
+    if "." in s or "e" in s.lower():
+        # one unit in the last written place, exponent included
+        radius = Fraction(10) ** decimal.Decimal(s).as_tuple().exponent
     else:
         radius = Fraction(0)  # bare integer literal is exact
     return value, radius
@@ -110,39 +111,39 @@ def cf_expand(theta: ThetaLike, depth: int) -> CFExpansion:
     if depth < 1:
         raise InvalidInput("depth must be >= 1")
     value, radius = parse_theta(theta)
-    lo: Fraction = value - radius
-    hi: Optional[Fraction] = value + radius  # None = unbounded above
-    x = value
+    lo, hi = value - radius, value + radius
+    # Euclid on reduced (numerator, denominator) pairs: subtracting an
+    # integer and inverting a positive value keep a pair reduced.  A zero
+    # denominator in hi means unbounded above.
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    xn, xd = value.numerator, value.denominator
     a0 = 0
     digits: list[int] = []
     for step in range(depth + 1):
-        if hi is None or _floor(lo) != _floor(hi):
+        a = ln // ld
+        if hd == 0 or hn // hd != a:
             # The interval straddles an integer boundary: only a clean
             # termination of the written value itself is still certifiable.
-            if x.denominator == 1:
-                a = int(x)
+            if xd == 1:
                 if step == 0:
-                    return CFExpansion(a, (), terminated=True)
-                digits.append(a)
+                    return CFExpansion(xn, (), terminated=True)
+                digits.append(xn)
                 return CFExpansion(a0, tuple(digits), terminated=True)
             raise PrecisionExhausted(
                 f"digit {step} of {theta!r} is not determined by the stated precision"
             )
-        a = _floor(lo)
-        frac = x - a
         if step == 0:
             a0 = a
         else:
             digits.append(a)
-        if frac == 0:
+        xn -= a * xd
+        if xn == 0:
             return CFExpansion(a0, tuple(digits), terminated=True)
         if step == depth:
             return CFExpansion(a0, tuple(digits), terminated=False)
-        flo, fhi = lo - a, (None if hi is None else hi - a)
-        # invert: [flo, fhi] -> [1/fhi, 1/flo], 1/0+ = unbounded
-        lo = Fraction(0) if fhi is None else 1 / fhi
-        hi = None if flo == 0 else 1 / flo
-        x = 1 / frac
+        # invert [lo - a, hi - a] -> [1/(hi - a), 1/(lo - a)]; 1/0+ = unbounded
+        ln, ld, hn, hd = hd, hn - a * hd, ld, ln - a * ld
+        xn, xd = xd, xn
     raise AssertionError("unreachable")
 
 
@@ -212,7 +213,3 @@ def convergents(cf: CFExpansion) -> ConvergentTable:
         q, q_prev = a * q + q_prev, q
         rows.append((n, p, q))
     return ConvergentTable(tuple(rows))
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies
 
 from ncg_torus.af_tower import (
     BratteliTower,
+    KHomCoefficients,
     build_tower,
     inverse_limit_coefficients,
     pairing_along_tower,
@@ -17,6 +18,7 @@ from ncg_torus.errors import (
     InsufficientDigits,
     InvalidInput,
     LevelMismatch,
+    MathCheckError,
 )
 from ncg_torus.exact_arith import (
     CFExpansion,
@@ -93,6 +95,38 @@ def test_random_digit_towers(digits):
         assert p * s - q * r == -1
     assert pairing_along_tower(tower, tower.identity_class(1)) == 1
     assert pairing_along_tower(tower, (1, 0)) == 0
+    table = convergents(CFExpansion(0, tuple(digits)))
+    for horizon in range(3, len(digits) + 1):
+        assert trace_weights(tower, 1, horizon).beta_big == \
+            table.convergent(horizon)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(digits=strategies.lists(strategies.integers(1, 40), min_size=2,
+                               max_size=60),
+       vec=strategies.tuples(strategies.integers(-10**6, 10**6),
+                             strategies.integers(-10**6, 10**6)))
+def test_sweep_pairing_matches_an_independent_push_at_every_level(digits, vec):
+    tower = build_tower(CFExpansion(0, tuple(digits)), len(digits))
+    coeffs = inverse_limit_coefficients(tower)
+    value = pairing_along_tower(tower, vec, coeffs)
+    for n in range(1, tower.depth + 1):
+        c, w = coeffs.vector(n), push_k0_class(tower, vec, 1, n)
+        assert c[0] * w[0] + c[1] * w[1] == value
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_coefficient_bumped_at_one_level_is_raised_as_drift(where):
+    tower = build_tower(CFExpansion(0, (3, 1, 4, 1, 5, 9, 2, 6)), 8)
+    coeffs = inverse_limit_coefficients(tower)
+    n = {"first": 1, "middle": 4, "last": tower.depth}[where]
+    vecs = list(coeffs.vectors)
+    vecs[n - 1] = (vecs[n - 1][0] + 1, vecs[n - 1][1])
+    bumped = KHomCoefficients(tuple(vecs), coeffs.closed_form, False)
+    # the identity class pushes to (q_n, q_{n-1}) with q_n > 0, so the
+    # bumped level pairs it to 1 + q_n instead of 1
+    with pytest.raises(MathCheckError, match="pairing drifted along the tower"):
+        pairing_along_tower(tower, tower.identity_class(1), bumped)
 
 
 class TestK0Transport:

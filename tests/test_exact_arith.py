@@ -7,6 +7,7 @@ continued fractions.
 """
 
 import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -32,6 +33,44 @@ def _euclid_cf(num, den):
         out.append(num // den)
         num, den = den, num - (num // den) * den
     return out
+
+
+def _fraction_cf_expand(theta, depth):
+    """Oracle: the certified expansion run directly on Fraction intervals."""
+    if depth < 1:
+        raise InvalidInput("depth must be >= 1")
+    value, radius = parse_theta(theta)
+    lo, hi, x = value - radius, value + radius, value
+    a0, digits = 0, []
+    for step in range(depth + 1):
+        if hi is None or math.floor(lo) != math.floor(hi):
+            if x.denominator == 1:
+                if step == 0:
+                    return CFExpansion(int(x), (), terminated=True)
+                return CFExpansion(a0, (*digits, int(x)), terminated=True)
+            raise PrecisionExhausted(
+                f"digit {step} of {theta!r} is not determined by the stated precision"
+            )
+        a = math.floor(lo)
+        frac = x - a
+        if step == 0:
+            a0 = a
+        else:
+            digits.append(a)
+        if frac == 0:
+            return CFExpansion(a0, tuple(digits), terminated=True)
+        if step == depth:
+            return CFExpansion(a0, tuple(digits), terminated=False)
+        lo, hi, x = 1 / (hi - a), (None if lo == a else 1 / (lo - a)), 1 / frac
+    raise AssertionError("unreachable")
+
+
+def _outcome(f, *args):
+    try:
+        cf = f(*args)
+    except (InvalidInput, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+    return cf.a0, cf.digits, cf.terminated
 
 
 def _fold(digits):
@@ -137,6 +176,23 @@ def test_cf_decimal_digits_hold_on_the_whole_interval(whole, places, depth, t):
         assert _euclid_cf(x.numerator, x.denominator)[:len(emitted)] == emitted
 
 
+_THETAS = st.one_of(
+    st.builds(lambda sign, whole, places: f"{sign}{whole}.{places}",
+              st.sampled_from(["", "-"]), st.integers(0, 50),
+              st.text("0123456789", min_size=1, max_size=80)),
+    st.builds(lambda m, n: f"{m}/{n}", st.integers(-10**9, 10**9),
+              st.integers(1, 10**9)),
+    st.integers(-10**6, 10**6).map(str),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(theta=_THETAS, depth=st.integers(1, 120))
+def test_cf_matches_the_fraction_interval_oracle(theta, depth):
+    assert _outcome(cf_expand, theta, depth) == \
+        _outcome(_fraction_cf_expand, theta, depth)
+
+
 def test_cf_negative_and_integer_inputs():
     assert cf_expand(Fraction(-7, 2), depth=4).a0 == -4
     cf = cf_expand("3", depth=4)
@@ -148,6 +204,25 @@ def test_parse_theta_radius():
     assert radius == Fraction(1, 10**20)
     assert value == Fraction(61803398874989484820, 10**20)
     assert parse_theta("2/7") == (Fraction(2, 7), 0)
+
+
+@pytest.mark.parametrize("text, radius", [
+    ("0.6180339887e0", Fraction(1, 10**10)),
+    ("0.123e-2", Fraction(1, 10**5)),
+    ("1.5e2", Fraction(10)),
+    ("1e-5", Fraction(1, 10**5)),
+    ("0.1_2", Fraction(1, 100)),  # a digit separator is not a place
+])
+def test_parse_theta_radius_is_one_unit_in_the_last_place(text, radius):
+    assert parse_theta(text) == (Fraction(text), radius)
+
+
+def test_exponent_notation_certifies_what_the_plain_decimal_does():
+    # the radius 1e-10 certifies 22 golden digits and no more
+    for theta in ("0.6180339887", "0.6180339887e0"):
+        assert cf_expand(theta, 22).digits == (1,) * 22
+        with pytest.raises(PrecisionExhausted, match="digit 23 of"):
+            cf_expand(theta, 23)
 
 
 # --- convergents -----------------------------------------------------------
