@@ -25,7 +25,6 @@ from .exact_arith import (
     parse_theta,
 )
 from .fredholm import (
-    BlockDiagonal,
     GeneratorWord,
     PairingResult,
     canonical_even,
@@ -57,7 +56,6 @@ from .zlattice import (
 __all__ = [
     "errors",
     "__version__",
-    "BlockDiagonal",
     "BratteliTower",
     "CFExpansion",
     "ConvergentTable",

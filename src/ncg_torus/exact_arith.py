@@ -21,6 +21,7 @@ Input conventions for theta:
 from __future__ import annotations
 
 import decimal
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -50,15 +51,26 @@ def parse_theta(text: ThetaLike) -> tuple[Fraction, Fraction]:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"bad rational {text!r}") from exc
         return value, Fraction(0)
+    radius = Fraction(0)  # bare integer literal is exact
+    scientific = "e" in s.lower()
+    if "." in s or scientific:
+        try:
+            point = decimal.Decimal(s)
+        except decimal.InvalidOperation as exc:
+            raise InvalidInput(f"bad decimal {text!r}") from exc
+        # a leading digit `limit` places or more from the point makes the
+        # integer part or the next partial quotient about as long as int()
+        # and str() accept, and the power of ten slow to build
+        limit = sys.get_int_max_str_digits()
+        if scientific and limit and abs(point.adjusted()) >= limit:
+            raise InvalidInput(
+                f"exponent of {text!r} is past the {limit}-digit int limit")
+        # one unit in the last written place, exponent included
+        radius = Fraction(10) ** point.as_tuple().exponent
     try:
         value = Fraction(s)
     except ValueError as exc:
         raise InvalidInput(f"bad decimal {text!r}") from exc
-    if "." in s or "e" in s.lower():
-        # one unit in the last written place, exponent included
-        radius = Fraction(10) ** decimal.Decimal(s).as_tuple().exponent
-    else:
-        radius = Fraction(0)  # bare integer literal is exact
     return value, radius
 
 

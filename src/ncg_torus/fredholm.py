@@ -59,6 +59,8 @@ DIRAC_RANK_TOL = 5e-2
 INTERIOR_MASS_THRESHOLD = 0.5
 
 PROJECTION_TOL = 1e-8
+#: a trace farther than this from every integer is not a pairing
+ROUND_TOL = 0.1
 ADJOINT_TOL = 1e-10
 UNITARY_TOL = 1e-8
 
@@ -139,20 +141,6 @@ class GeneratorWord:
         return out
 
 
-@dataclass(frozen=True)
-class BlockDiagonal:
-    """One word per fiber component; realizes as sum_b word_b x E_bb."""
-
-    words: tuple[GeneratorWord, ...]
-
-
-def _bandwidth(mat: np.ndarray, tol: float = 1e-12) -> int:
-    rows, cols = np.nonzero(np.abs(mat) > tol)
-    if rows.size == 0:
-        return 0
-    return int(np.abs(rows - cols).max())
-
-
 # --- modules --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -189,24 +177,19 @@ class BoxFredholmModule:
 
 @dataclass(frozen=True)
 class OddFredholmModule:
-    """Half-line symmetry F = diag(sign k) over a truncated shift rep."""
+    """Half-line symmetry F = diag(sign k) over fiber_dim copies of a
+    truncated shift rep.
+
+    ``phases`` is the diagonal conjugation set by ``conjugate_module``.
+    """
 
     base: TruncatedZRep
-    fiber_dim: int
-    rebuild: Optional[Callable[[int], "OddFredholmModule"]] = None
-
-    @property
-    def N(self) -> int:
-        return self.base.N
+    fiber_dim: int = 1
+    phases: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
         return self.base.dim * self.fiber_dim
-
-    def symmetry_signs(self) -> np.ndarray:
-        # sign(0) = +1 by convention
-        return np.array([1.0 if k >= 0 else -1.0
-                         for k in range(-self.N, self.N + 1)])
 
 
 def canonical_even(phi: dict) -> EvenFredholmModule:
@@ -223,8 +206,7 @@ def canonical_even(phi: dict) -> EvenFredholmModule:
     return EvenFredholmModule(mats, d)
 
 
-def even_pairing(module: EvenFredholmModule, e: np.ndarray,
-                 round_tol: float = 0.1) -> PairingResult:
+def even_pairing(module: EvenFredholmModule, e: np.ndarray) -> PairingResult:
     """Pair a realized projection with a canonical even module: Tr(e).
 
     e must be a matrix over the fiber (size a multiple of the fiber
@@ -246,8 +228,8 @@ def even_pairing(module: EvenFredholmModule, e: np.ndarray,
         raise NotAProjection(f"idempotency defect {idem:.2e} above {PROJECTION_TOL}")
     raw = float(np.trace(e).real)
     nearest = round(raw)
-    if abs(raw - nearest) > round_tol:
-        raise NonIntegerPairing(f"trace {raw} is not within {round_tol} of an integer")
+    if abs(raw - nearest) > ROUND_TOL:
+        raise NonIntegerPairing(f"trace {raw} is not within {ROUND_TOL} of an integer")
     return PairingResult(
         int(nearest), "trace-formula", module.fiber_dim, None, True,
         {"raw_trace": raw, "idempotency_defect": idem, "adjoint_defect": adj})
@@ -256,34 +238,17 @@ def even_pairing(module: EvenFredholmModule, e: np.ndarray,
 def canonical_odd(rep: TruncatedZRep, fiber_dim: int = 1) -> OddFredholmModule:
     if fiber_dim < 1:
         raise InvalidInput("fiber_dim must be >= 1")
-
-    def rebuild(n2: int) -> OddFredholmModule:
-        return canonical_odd(truncated_rep(rep.theta_input, n2, rep.variant),
-                             fiber_dim)
-
-    return OddFredholmModule(rep, fiber_dim, rebuild)
+    return OddFredholmModule(rep, fiber_dim)
 
 
-def _word_blocks(module: OddFredholmModule,
-                 u: Union[GeneratorWord, BlockDiagonal, str]) -> list:
-    """Realize u over the base rep, one matrix per fiber component."""
-    if isinstance(u, str):
-        u = GeneratorWord.parse(u)
-    gens = {"U": module.base.U, "V": module.base.V}
-    if isinstance(u, GeneratorWord):
-        m = u.realize(gens)
-        return [m] * module.fiber_dim
-    if isinstance(u, BlockDiagonal):
-        if len(u.words) != module.fiber_dim:
-            raise InvalidInput(
-                f"{len(u.words)} blocks for fiber dimension {module.fiber_dim}")
-        return [w.realize(gens) for w in u.words]
-    raise UnsupportedForm(f"cannot realize {type(u).__name__} as a unitary")
-
-
-def _recheck(value: int, N: int, details: dict,
+def _recheck(module, value: int, details: dict,
              value_at: Callable[[int], int]) -> None:
-    """Stability rule of both index routes: value_at(N + 4) must agree."""
+    """Stability rule of both index routes: value_at(N + 4), the value of
+    the module rebuilt at the larger truncation, must agree."""
+    if module.phases is not None:
+        raise InvalidInput("a conjugated module is not recomputed at a larger "
+                           "truncation; pass stability_check=False")
+    N = module.base.N
     again = value_at(N + 4)
     if again != value:
         raise UnstableIndex(f"index {value} at N = {N} became {again} at N = {N + 4}")
@@ -299,44 +264,51 @@ def _kernel_count(a: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(s < tol))
 
 
-def odd_pairing(module: OddFredholmModule,
-                u: Union[GeneratorWord, BlockDiagonal, str],
+def odd_pairing(module: OddFredholmModule, u: Union[GeneratorWord, str],
                 stability_check: bool = True) -> PairingResult:
     """Index of E u E with E = [k >= 0], domain restricted to the bulk.
 
     Kernel dimensions of the compression and its adjoint are counted on
     columns at least max(bandwidth, 1) sites from the cutoff, where the
-    realized word acts exactly like its infinite counterpart.
+    realized word acts exactly like its infinite counterpart.  The word
+    acts alike on every fiber copy, so it is realized once and its counts
+    are multiplied by the fiber dimension.
     """
-    blocks = _word_blocks(module, u)
-    N = module.N
-    bw = max(_bandwidth(b) for b in blocks)
+    if isinstance(u, str):
+        u = GeneratorWord.parse(u)
+    if not isinstance(u, GeneratorWord):
+        raise UnsupportedForm(f"cannot realize {type(u).__name__} as a unitary")
+    base = module.base
+    gens = {"U": base.U, "V": base.V}
+    if module.phases is not None:
+        gens = {k: _conjugated(module.phases, g) for k, g in gens.items()}
+    b = u.realize(gens)
+    N = base.N
+    rows, cols = np.nonzero(np.abs(b) > 1e-12)
+    bw = int(np.abs(rows - cols).max()) if rows.size else 0
     margin = max(bw, 1)
     if N < margin + 2:
         raise RepresentationTooSmall(
             f"N = {N} leaves no bulk for a word of bandwidth {bw}")
     # unitarity away from the edge (shift truncation kills one column per power)
     safe = [k + N for k in range(-N + bw, N - bw + 1)]
-    for b in blocks:
-        for d in (b.conj().T @ b - np.eye(2 * N + 1),
-                  b @ b.conj().T - np.eye(2 * N + 1)):
-            worst = float(np.sqrt((np.abs(d[:, safe]) ** 2).sum(axis=0)).max())
-            if worst > UNITARY_TOL:
-                raise NotUnitary(f"interior unitarity defect {worst:.2e}")
+    for d in (b.conj().T @ b - np.eye(2 * N + 1),
+              b @ b.conj().T - np.eye(2 * N + 1)):
+        worst = float(np.sqrt((np.abs(d[:, safe]) ** 2).sum(axis=0)).max())
+        if worst > UNITARY_TOL:
+            raise NotUnitary(f"interior unitarity defect {worst:.2e}")
     half = slice(N, 2 * N + 1)  # rows and columns with k >= 0
     bulk = N - margin + 1       # columns 0 <= k <= N - margin
-    ker = coker = 0
-    for b in blocks:
-        comp = b[half, half]
-        ker += _kernel_count(comp[:, :bulk], ODD_RANK_TOL)
-        coker += _kernel_count(comp.conj().T[:, :bulk], ODD_RANK_TOL)
+    comp = b[half, half]
+    ker = module.fiber_dim * _kernel_count(comp[:, :bulk], ODD_RANK_TOL)
+    coker = module.fiber_dim * _kernel_count(comp.conj().T[:, :bulk], ODD_RANK_TOL)
     value = ker - coker
     details = {"kernel": ker, "cokernel": coker, "bandwidth": bw}
     if stability_check:
-        if module.rebuild is None:
-            raise InvalidInput("module has no rebuild rule; pass stability_check=False")
-        _recheck(value, N, details, lambda n: odd_pairing(
-            module.rebuild(n), u, stability_check=False).value)
+        _recheck(module, value, details, lambda n: odd_pairing(
+            dataclasses.replace(module, base=truncated_rep(
+                base.theta_input, n, base.variant)),
+            u, stability_check=False).value)
     return PairingResult(value, "kernel-index", N, ODD_RANK_TOL,
                          stability_check, details)
 
@@ -474,10 +446,7 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
         raise UnsupportedForm("pass the class token 'trace-theta' or 'one'")
     # "one" compresses to an exact unitary: no recheck
     if stability_check and p == "trace-theta":
-        if module.phases is not None:
-            raise InvalidInput(
-                "no rebuild rule for a conjugated module; pass stability_check=False")
-        _recheck(value, N, details, lambda n: _dirac_single(
+        _recheck(module, value, details, lambda n: _dirac_single(
             rep.theta_input, n, None)["value"])
     return PairingResult(value, "compressed-index", N, DIRAC_RANK_TOL,
                          stability_check, details)
@@ -495,29 +464,27 @@ def conjugate_module(module, phases: Sequence[complex]):
 
     The half-line projection and the phase symmetry are diagonal, so they
     commute with the conjugation; every pairing is left exactly invariant.
-    Rebuild rules do not survive (sizes change), so pair the result with
-    stability_check=False.
+    Odd and box modules record the phases, which the pairing applies; the
+    canonical even module conjugates its fiber.  The phases have no
+    counterpart at a larger truncation, so pair a conjugated odd or box
+    module with stability_check=False.
     """
-    if isinstance(module, OddFredholmModule):
-        size, space = module.base.dim, "base"
-    elif isinstance(module, BoxFredholmModule):
-        size, space = module.base.dim, "box"
+    recorded = isinstance(module, (OddFredholmModule, BoxFredholmModule))
+    if recorded:
+        size = module.base.dim
     elif isinstance(module, EvenFredholmModule):
-        size, space = module.fiber_dim, "fiber"
+        size = module.fiber_dim
     else:
         raise UnsupportedForm(f"cannot conjugate {type(module).__name__}")
     ph = np.asarray(phases, dtype=complex)
     if ph.shape != (size,):
-        raise InvalidInput(f"phase vector does not match the {space} dimension")
+        raise InvalidInput(f"{ph.size} phases for a space of dimension {size}")
     if np.abs(np.abs(ph) - 1.0).max() > 1e-12:
         raise NotUnitary("conjugating phases must have unit modulus")
-    if isinstance(module, OddFredholmModule):
-        base = module.base
-        new_base = dataclasses.replace(base, U=_conjugated(ph, base.U),
-                                       V=_conjugated(ph, base.V))
-        return OddFredholmModule(new_base, module.fiber_dim, None)
-    if isinstance(module, BoxFredholmModule):
-        return BoxFredholmModule(module.base, ph)
+    if recorded:
+        if module.phases is not None:
+            ph = ph * module.phases  # conjugations compose
+        return dataclasses.replace(module, phases=ph)
     return EvenFredholmModule(
         {k: _conjugated(ph, v) for k, v in module.fiber.items()}, size)
 
@@ -530,8 +497,10 @@ def compactness_report(module) -> CommutatorReport:
     shrinking with distance is the finite-volume trace of compactness.
     """
     if isinstance(module, OddFredholmModule):
-        signs = module.symmetry_signs()
-        N = module.N
+        # F = diag(sign k) with sign(0) = +1; it is diagonal, so the
+        # conjugation ``phases`` changes no norm
+        N = module.base.N
+        signs = np.where(np.arange(-N, N + 1) >= 0, 1.0, -1.0)
         tail = [k + N for k in range(-N, N + 1) if abs(k) > N // 2]
         norms, tails = {}, {}
         for name, g in (("U", module.base.U), ("V", module.base.V)):

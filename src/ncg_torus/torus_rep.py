@@ -44,7 +44,10 @@ def theta_to_float(theta: ThetaLike) -> float:
     if isinstance(theta, float):
         return theta
     value, _ = parse_theta(theta)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInput(f"theta {theta!r} does not fit in a float") from None
 
 
 def _op_norm(a: np.ndarray) -> float:

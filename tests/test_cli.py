@@ -70,6 +70,30 @@ class TestCfCommand:
         code, _, _ = run_cli(capsys, "cf", "--theta", "0.333", "--depth", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("theta", ["1e4400", "1e-5000", "1e999999999"])
+    def test_exponent_past_the_int_limit_exits_2(self, capsys, theta):
+        # refused before 10 ** exponent is built, so the huge one is instant
+        code, out, err = run_cli(capsys, "cf", "--theta", theta, "--depth", "3")
+        assert (code, out) == (2, "")
+        assert "int limit" in err
+
+    def test_exponent_within_the_int_limit_is_expanded(self, capsys):
+        code, out, _ = run_cli(capsys, "cf", "--theta", "1e4200", "--depth", "3")
+        assert code == 0
+        expansion = json.loads(out)["expansion"]
+        assert (expansion["a0"], expansion["terminated"]) == (10 ** 4200, True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("pair", "--module", "z1", "--class", "U"),
+    ("pair", "--module", "dirac", "--class", "1", "--N", "2"),
+    ("rep-dump", "--rep", "z1", "--N", "1"),
+], ids=["pair z1", "pair dirac", "rep-dump z1"])
+def test_theta_beyond_float_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--theta", "1e400")
+    assert (code, out) == (2, "")
+    assert "does not fit in a float" in err
+
 
 class TestPairCommand:
     def test_even_table(self, capsys):
@@ -282,6 +306,13 @@ PINNED_STDOUT = [
      "afa9be249e1a1c91614373203bef77584b9e7fbd53a81d1c51ecc6fbc9d89bcb"),
     (("rep-dump", "--rep", "dirac", "--theta", "0.3", "--N", "2"), 0,
      "bbde3b63722ff412c63a9bafd9c8c3ea1cb9b9fcfe07f9af9496442a8fbadf6b"),
+    (("pair", "--module", "z1prime", "--class", "V", "--power", "-3", "--N", "12"),
+     0, "365d19b736e1ff1046b0ef4c74c1eb3c0df4c2ed5d70d25637aae237d3d98a78"),
+    # the flag goes first so that the test id differs from the z1 call above
+    (("pair", "--no-stability", "--module", "z1", "--class", "V", "--N", "8"), 0,
+     "2754c69dbffb851e77bd1b861f39bcb49a9728868b4fcb3aad0915c73dd0eac3"),
+    (("cf", "--theta", "1e4200", "--depth", "3"), 0,
+     "89a52cda2467b588635c40d83237427408394463be1fb4f7896147c0592feb72"),
 ]
 
 

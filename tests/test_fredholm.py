@@ -14,7 +14,6 @@ from ncg_torus.errors import (
     UnsupportedForm,
 )
 from ncg_torus.fredholm import (
-    BlockDiagonal,
     GeneratorWord,
     OddFredholmModule,
     canonical_even,
@@ -82,7 +81,7 @@ class TestCanonicalEven:
         with pytest.raises(UnsupportedForm):
             even_pairing(dirac_module(GOLDEN, 2), np.eye(25))
 
-    def test_rounding_guard_is_live(self):
+    def test_rounding_guard_is_live(self, monkeypatch):
         # an honest projection carries float noise in its trace; an absurdly
         # tight rounding tolerance must trip the integrality check
         rng = np.random.default_rng(41)
@@ -93,8 +92,9 @@ class TestCanonicalEven:
         noisy = q @ spec.matrix @ q.conj().T
         assert abs(np.trace(noisy).real - 2.0) > 1e-18  # but far below 0.1
         from ncg_torus.errors import NonIntegerPairing
+        monkeypatch.setattr(fredholm, "ROUND_TOL", 1e-18)
         with pytest.raises(NonIntegerPairing):
-            even_pairing(mod, noisy, round_tol=1e-18)
+            even_pairing(mod, noisy)
 
 
 class TestOddPairing:
@@ -126,14 +126,17 @@ class TestOddPairing:
         mod = canonical_odd(truncated_rep(GOLDEN, 8), fiber_dim=d)
         assert odd_pairing(mod, "U").value == -d
 
-    def test_block_diagonal_windings_add(self):
-        mod = canonical_odd(truncated_rep(GOLDEN, 10), fiber_dim=2)
-        u = BlockDiagonal((GeneratorWord.parse("U"), GeneratorWord.parse("U^-1")))
-        assert odd_pairing(mod, u).value == 0
-        u2 = BlockDiagonal((GeneratorWord.parse("U^2"), GeneratorWord.parse("U")))
-        assert odd_pairing(mod, u2).value == -3
-        with pytest.raises(InvalidInput):
-            odd_pairing(mod, BlockDiagonal((GeneratorWord.parse("U"),)))
+    def test_fiber_counts_are_multiplied_not_recomputed(self, monkeypatch):
+        # one realization and one SVD pair, whatever the fiber dimension
+        calls = []
+        count = fredholm._kernel_count
+        monkeypatch.setattr(fredholm, "_kernel_count",
+                            lambda a, tol: calls.append(a.shape) or count(a, tol))
+        res = odd_pairing(canonical_odd(truncated_rep(GOLDEN, 8), fiber_dim=3),
+                          "U^2", stability_check=False)
+        assert len(calls) == 2
+        assert (res.value, res.details["kernel"], res.details["cokernel"]) == \
+            (-6, 0, 6)
 
     def test_mixed_word_winds_once(self):
         mod = canonical_odd(truncated_rep(GOLDEN, 10))
@@ -149,14 +152,19 @@ class TestOddPairing:
         res2 = odd_pairing(mod, "U", stability_check=False)
         assert res2.value == res.value and not res2.stable
 
-    def test_unstable_rebuild_is_caught(self):
-        # a rebuild rule that lands in the other variant flips the answer
-        base = truncated_rep(GOLDEN, 8)
-        bad = OddFredholmModule(
-            base, 1,
-            rebuild=lambda n: canonical_odd(truncated_rep(GOLDEN, n, "z1prime")))
-        with pytest.raises(UnstableIndex):
-            odd_pairing(bad, "U")
+    def test_unstable_rebuild_is_caught(self, monkeypatch):
+        # a recheck that lands in the other variant flips the answer
+        mod = canonical_odd(truncated_rep(GOLDEN, 8))
+        monkeypatch.setattr(fredholm, "truncated_rep",
+                            lambda theta, n, variant: truncated_rep(theta, n, "z1prime"))
+        with pytest.raises(UnstableIndex, match="-1 at N = 8 became 0 at N = 12"):
+            odd_pairing(mod, "U")
+
+    def test_hand_built_module_is_rechecked(self):
+        # the recheck rebuilds the module from its rep's angle and variant
+        res = odd_pairing(OddFredholmModule(truncated_rep(GOLDEN, 8, "z1prime")), "V")
+        assert res.stable and res.value == -1
+        assert (res.details["N_recheck"], res.details["value_recheck"]) == (12, -1)
 
     def test_word_validation(self):
         mod = canonical_odd(truncated_rep(GOLDEN, 8))
@@ -191,7 +199,30 @@ class TestConjugationInvariance:
             b = odd_pairing(conj, word, stability_check=False).value
             assert a == b
         with pytest.raises(InvalidInput):
-            odd_pairing(conj, "U")  # no rebuild rule survives conjugation
+            odd_pairing(conj, "U")  # phases do not carry over to N + 4
+
+    def test_odd_pairing_realizes_the_conjugated_generators(self, monkeypatch):
+        # value invariance cannot tell an applied conjugation from an
+        # ignored one: look at the generators the word is realized from
+        rng = np.random.default_rng(5)
+        base = truncated_rep(GOLDEN, 6)
+        phases = np.exp(2j * np.pi * rng.random(13))
+        twice = np.exp(2j * np.pi * rng.random(13))
+        seen = []
+        realize = GeneratorWord.realize
+        monkeypatch.setattr(GeneratorWord, "realize",
+                            lambda self, gens: seen.append(gens) or realize(self, gens))
+        mod = conjugate_module(canonical_odd(base), phases)
+        odd_pairing(mod, "U", stability_check=False)
+        odd_pairing(conjugate_module(mod, twice), "V", stability_check=False)
+        for gens, d in zip(seen, (phases, phases * twice)):
+            for name in ("U", "V"):
+                g = getattr(base, name)
+                want = np.diag(d) @ g @ np.diag(d).conj()
+                assert np.abs(gens[name] - want).max() <= 1e-15
+            # V is diagonal on z1 and commutes with the phases; the shift U
+            # does not, so an ignored conjugation shows here
+            assert np.abs(gens["U"] - base.U).max() > 0.1
 
     def test_even_values_survive_diagonal_conjugation(self):
         rng = np.random.default_rng(29)
