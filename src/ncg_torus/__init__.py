@@ -38,7 +38,6 @@ from .fredholm import (
 )
 from .torus_rep import (
     TorusPolynomial,
-    canonical_trace,
     clock_shift,
     dirac_data,
     rieffel_projection,
@@ -69,7 +68,6 @@ __all__ = [
     "builtin_ktheory_sequence",
     "canonical_even",
     "canonical_odd",
-    "canonical_trace",
     "cf_expand",
     "clock_shift",
     "compactness_report",

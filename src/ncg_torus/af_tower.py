@@ -238,9 +238,6 @@ class TraceWeightVector:
     beta_big: Fraction
     beta_small: Fraction
 
-    def normalized(self, dims: tuple) -> bool:
-        return self.beta_big * dims[0] + self.beta_small * dims[1] == 1
-
     def to_json_obj(self) -> dict:
         return {
             "level": self.level,

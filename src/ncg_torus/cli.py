@@ -35,7 +35,7 @@ from .fredholm import (
     even_pairing,
     odd_pairing,
 )
-from .torus_rep import clock_shift, dirac_data, rieffel_projection, truncated_rep
+from .torus_rep import ClockShiftRep, clock_shift, dirac_data, rieffel_projection, truncated_rep
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -107,12 +107,13 @@ def _theta_text(raw: str) -> str:
     return raw
 
 
-def _rational_theta(raw: str) -> Fraction:
+def _clock_rep(raw: str) -> ClockShiftRep:
+    """The clock-shift rep at an exact rational angle n/d, as (n mod d)/d."""
     value, radius = parse_theta(_theta_text(raw))
     if radius != 0:
         raise InvalidInput(
             f"this command needs an exact rational angle, got {raw!r}")
-    return value
+    return clock_shift(value.numerator % value.denominator, value.denominator)
 
 
 # --- subcommands --------------------------------------------------------------------
@@ -140,15 +141,12 @@ def _pair_even_trivial(klass: str) -> dict:
     return res.to_json_obj()
 
 
-def _pair_even_clock(theta: Fraction, klass: str) -> dict:
-    q = theta.denominator
-    m = theta.numerator % q
-    rep = clock_shift(m, q)
+def _pair_even_clock(rep: ClockShiftRep, klass: str) -> dict:
     mod = canonical_even({"U": rep.U, "V": rep.V})
     if klass == "1":
-        e = np.eye(q)
+        e = np.eye(rep.q)
     else:
-        e = rieffel_projection(Fraction(m, q), rep).matrix
+        e = rieffel_projection(rep.theta, rep).matrix
     return even_pairing(mod, e).to_json_obj()
 
 
@@ -162,7 +160,7 @@ def cmd_pair(args) -> dict:
         if args.module == "z0":
             body = _pair_even_trivial(klass)
         else:
-            body = _pair_even_clock(_rational_theta(args.theta), klass)
+            body = _pair_even_clock(_clock_rep(args.theta), klass)
     elif args.module in ("z1", "z1prime"):
         if klass not in ("U", "V"):
             raise InvalidInput(f"module {args.module} pairs with classes U and V")
@@ -218,7 +216,7 @@ def cmd_sequence(args) -> dict:
         "perturbations": list(args.perturb or []),
         "maps": seq.to_json_obj(),
         "reports": [r.to_json_obj() for r in reports],
-        "exact": seq.is_exact(),
+        "exact": all(r.exact for r in reports),
     }
 
 
@@ -250,8 +248,7 @@ def cmd_tower(args) -> dict:
 def cmd_rep_dump(args) -> dict:
     theta = _theta_text(args.theta)
     if args.rep == "clock":
-        frac = _rational_theta(args.theta)
-        rep = clock_shift(frac.numerator % frac.denominator, frac.denominator)
+        rep = _clock_rep(args.theta)
         return {"rep": "clock", "dim": rep.dim, "theta": theta,
                 "U": _matrix_dump(rep.U), "V": _matrix_dump(rep.V)}
     if args.rep in ("z1", "z1prime"):

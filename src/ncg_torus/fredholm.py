@@ -353,13 +353,12 @@ def _mirror_polish(p: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return w, vec
 
 
-def _dirac_single(theta_input: ThetaLike, N: int,
-                  phases: Optional[np.ndarray]) -> dict:
-    """One trace-theta box pass at truncation N."""
-    key = (repr(theta_input), N)
+def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
+    """One trace-theta box pass over the box rep."""
+    N = rep.N
+    key = (repr(rep.theta_input), N)
     if phases is None and key in _dirac_cache:
         return _dirac_cache[key]
-    rep = dirac_data(theta_input, N)
     # tail quality wants K large, the exactness margin wants 2K <= N,
     # which this rule keeps at every N
     K = min(max(6, N // 3), N // 2)
@@ -435,7 +434,7 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
     rep = module.base
     N = rep.N
     if p == "trace-theta":
-        first = _dirac_single(rep.theta_input, N, module.phases)
+        first = _dirac_single(rep, module.phases)
         value = first["value"]
         details = {k: v for k, v in first.items() if k != "value"}
     elif p == "one":
@@ -447,7 +446,7 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
     # "one" compresses to an exact unitary: no recheck
     if stability_check and p == "trace-theta":
         _recheck(module, value, details, lambda n: _dirac_single(
-            rep.theta_input, n, None)["value"])
+            dirac_data(rep.theta_input, n), None)["value"])
     return PairingResult(value, "compressed-index", N, DIRAC_RANK_TOL,
                          stability_check, details)
 

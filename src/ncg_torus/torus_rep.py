@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -108,11 +108,6 @@ class TruncatedZRep:
     def dim(self) -> int:
         return 2 * self.N + 1
 
-    def basis_index(self, k: int) -> int:
-        if abs(k) > self.N:
-            raise InvalidInput(f"|k| = {abs(k)} exceeds N = {self.N}")
-        return k + self.N
-
     def interior_defect(self) -> float:
         """Commutation defect of VU - lambda UV on columns |k| <= N-1."""
         lam = cmath.exp(2j * math.pi * self.theta)
@@ -161,10 +156,6 @@ class TruncatedZ2Rep:
             raise InvalidInput(f"site ({m},{n}) outside the box N = {self.N}")
         w = 2 * self.N + 1
         return (m + self.N) * w + (n + self.N)
-
-    def sites(self) -> list[tuple[int, int]]:
-        rng = range(-self.N, self.N + 1)
-        return [(m, n) for m in rng for n in rng]
 
     @cached_property
     def U(self) -> np.ndarray:
@@ -269,33 +260,6 @@ class TorusPolynomial:
             vals = c * lam ** (ms * b)
             out[rows, cols] += np.broadcast_to(vals[:, None], rows.shape)
         return out
-
-    def realize(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Evaluate with explicit generator matrices (adjoint for inverses)."""
-        dim = U.shape[0]
-        out = np.zeros((dim, dim), dtype=complex)
-        for (m, n), c in self.coeffs:
-            um = np.linalg.matrix_power(U, m) if m >= 0 else \
-                np.linalg.matrix_power(U.conj().T, -m)
-            vn = np.linalg.matrix_power(V, n) if n >= 0 else \
-                np.linalg.matrix_power(V.conj().T, -n)
-            out += c * (um @ vn)
-        return out
-
-
-# --- canonical trace -----------------------------------------------------------
-
-def canonical_trace(element, rep: Optional[ClockShiftRep] = None) -> complex:
-    """tau(sum a_{m,n} U^m V^n) = a_{0,0}; matrices get the normalized trace."""
-    if isinstance(element, TorusPolynomial):
-        return element.a00()
-    if isinstance(element, np.ndarray):
-        if element.ndim != 2 or element.shape[0] != element.shape[1]:
-            raise UnsupportedForm("matrix form must be square")
-        if rep is not None and element.shape[0] != rep.dim:
-            raise UnsupportedForm("matrix does not live in the given representation")
-        return complex(np.trace(element)) / element.shape[0]
-    raise UnsupportedForm(f"cannot take the trace of {type(element).__name__}")
 
 
 # --- Rieffel projection ---------------------------------------------------------

@@ -24,17 +24,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ShapeMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0] if b else ())}")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for row in a
-    )
-
-
 def det_int(m: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)
@@ -59,26 +48,6 @@ def det_int(m: Matrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def unimodular_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with det = +-1."""
-    n = len(m)
-    d = det_int(m)
-    if d not in (1, -1):
-        raise InvalidInput(f"matrix is not unimodular (det = {d})")
-    # adjugate via cofactors; fine at the ranks that occur here
-    if n == 0:
-        return ()
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != j)
-                for r in range(n) if r != i
-            )
-            cof[i][j] = (-1) ** (i + j) * det_int(minor)
-    return tuple(tuple(cof[j][i] * d for j in range(n)) for i in range(n))
 
 
 # --- Smith and Hermite normal forms -----------------------------------------

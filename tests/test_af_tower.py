@@ -182,8 +182,8 @@ class TestTraceWeights:
         for horizon in (10, 25, 40):
             w = trace_weights(tower, 1, horizon)
             assert w.beta_big == table.convergent(horizon)
-            assert w.normalized((tower.level(1).dim_big,
-                                 tower.level(1).dim_small))
+            lv = tower.level(1)
+            assert w.beta_big * lv.dim_big + w.beta_small * lv.dim_small == 1
 
     def test_weights_are_positive_and_normalized_at_all_levels(self):
         cf = cf_expand(Fraction(15, 11), 10)

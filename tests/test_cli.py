@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ncg_torus import zlattice
 from ncg_torus.cli import main, render_json
 
 
@@ -214,6 +215,23 @@ class TestSequenceCommand:
         broken = [r for r in report["reports"] if not r["exact"]]
         assert broken and all("witness" in r for r in broken)
 
+    @pytest.mark.parametrize("perturb", [(), ("--perturb", "d0=1,1")],
+                             ids=["exact", "perturbed"])
+    def test_exactness_is_checked_once(self, capsys, monkeypatch, perturb):
+        calls = []
+        check_all = zlattice.CyclicSequence.check_all
+
+        def spy(seq):
+            calls.append(seq)
+            return check_all(seq)
+
+        monkeypatch.setattr(zlattice.CyclicSequence, "check_all", spy)
+        code, out, _ = run_cli(capsys, "sequence", "--which", "khomology",
+                               *perturb)
+        assert code == (4 if perturb else 0)
+        assert json.loads(out)["exact"] == (not perturb)
+        assert len(calls) == 1
+
     def test_perturbation_parsing_errors(self, capsys):
         assert run_cli(capsys, "sequence", "--which", "khomology",
                        "--perturb", "d0:1,1")[0] == 2
@@ -302,6 +320,11 @@ PINNED_STDOUT = [
      "2484dbc311ce424e92d3c98768d029ac7211d8dbd9a5ace2377012784383928b"),
     (("sequence", "--which", "khomology", "--perturb", "d0=1,1"), 4,
      "28ab0ecbb56240280c2dd4c903e7921c2367a51164415d5a6a63c4b8032dce09"),
+    # "=" keeps the test id apart from the perturbed call above
+    (("sequence", "--which=khomology"), 0,
+     "573221ce1036dbb525a13a1a52fc0d36f9621c881911460b10ae9f23d5b2ed7b"),
+    (("sequence", "--which", "ktheory"), 0,
+     "59e726f122659d58168ca669b725b5ee069b07475d49c2845d0750756b72fb06"),
     (("pair", "--module", "z1", "--class", "U", "--power", "2", "--N", "16"), 0,
      "afa9be249e1a1c91614373203bef77584b9e7fbd53a81d1c51ecc6fbc9d89bcb"),
     (("rep-dump", "--rep", "dirac", "--theta", "0.3", "--N", "2"), 0,

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,11 +13,10 @@ from ncg_torus.errors import (
     ThetaOutOfRange,
     UnsupportedForm,
 )
-from ncg_torus.fredholm import dirac_even_pairing, dirac_module
+from ncg_torus.fredholm import GeneratorWord, dirac_even_pairing, dirac_module
 from ncg_torus.torus_rep import (
     TorusPolynomial,
     _bump_pair,
-    canonical_trace,
     clock_shift,
     dirac_data,
     rieffel_polynomial,
@@ -79,10 +79,10 @@ class TestTruncatedRep:
         rep = truncated_rep(GOLDEN, 3)
         for k in range(-3, 3):
             e = np.zeros(7)
-            e[rep.basis_index(k)] = 1.0
+            e[k + rep.N] = 1.0
             out = rep.U @ e
-            assert out[rep.basis_index(k + 1)] == 1.0
-        assert np.all(rep.U[:, rep.basis_index(3)] == 0)
+            assert out[k + 1 + rep.N] == 1.0
+        assert np.all(rep.U[:, 3 + rep.N] == 0)
 
     def test_variant_swaps_roles(self):
         rep = truncated_rep(GOLDEN, 3, "z1prime")
@@ -126,7 +126,7 @@ class TestDiracData:
         # and the outgoing edge columns are zero
         rep = dirac_data(Fraction(1, 3), 2)
         lam = cmath.exp(2j * math.pi / 3)
-        for m, n in rep.sites():
+        for m, n in itertools.product(range(-2, 3), repeat=2):
             u_col = np.zeros(rep.dim, dtype=complex)
             v_col = np.zeros(rep.dim, dtype=complex)
             if m < 2:
@@ -182,7 +182,10 @@ class TestTorusPolynomial:
              complex(rng.normal(), rng.normal()) for _ in range(5)}
         poly = TorusPolynomial.from_dict(rep.theta, d)
         via_formula = poly.realize_box(rep)
-        via_products = poly.realize(rep.U, rep.V)
+        gens = {"U": rep.U, "V": rep.V}
+        via_products = sum(
+            c * GeneratorWord((("U", m), ("V", n))).realize(gens)
+            for (m, n), c in poly.coeffs)
         bulk = [rep.site_index(m, n)
                 for m in range(-1, 2) for n in range(-1, 2)]
         assert np.allclose(via_formula[:, bulk], via_products[:, bulk], atol=1e-12)
@@ -211,26 +214,6 @@ def test_box_realization_is_a_star_homomorphism_in_bulk(theta, N, x, y):
             for n in range(2 - N, N - 1)]
     prod = rx @ y.realize_box(rep)[:, bulk]
     assert np.abs((x * y).realize_box(rep)[:, bulk] - prod).max() <= 1e-12
-
-
-class TestCanonicalTrace:
-    def test_polynomial_form_reads_constant_term(self):
-        x = TorusPolynomial.from_dict(0.41, {(0, 0): 3.0, (2, 1): 5.0, (-1, 0): 2j})
-        assert canonical_trace(x) == 3.0
-
-    def test_matrix_form_normalizes(self):
-        rep = clock_shift(1, 3)
-        w = rep.U @ rep.V @ rep.U.conj().T @ rep.V.conj().T
-        got = canonical_trace(w, rep)
-        assert abs(got - cmath.exp(-2j * math.pi / 3)) <= 1e-12
-
-    def test_rejects_junk(self):
-        with pytest.raises(UnsupportedForm):
-            canonical_trace("p")
-        with pytest.raises(UnsupportedForm):
-            canonical_trace(np.zeros((2, 3)))
-        with pytest.raises(UnsupportedForm):
-            canonical_trace(np.zeros((2, 2)), clock_shift(1, 3))
 
 
 class TestBumpPair:
@@ -299,7 +282,8 @@ class TestRieffelProjection:
         # e_{m,n} -> e_{-m,n} composed with conjugation fixes p
         rep = dirac_data(theta, N)
         p = rieffel_polynomial(rep.theta, N // 2)[0].realize_box(rep)
-        r = [rep.site_index(-m, n) for m, n in rep.sites()]
+        r = [rep.site_index(-m, n)
+             for m, n in itertools.product(range(-N, N + 1), repeat=2)]
         assert np.abs(p[r][:, r] - p.conj()).max() <= 1e-15
 
     def test_input_validation(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncg_torus.errors import ShapeMismatch
+from ncg_torus.errors import InvalidInput, ShapeMismatch
 from ncg_torus.zlattice import (
     CyclicSequence,
     FreeAbelianGroup,
@@ -19,10 +19,39 @@ from ncg_torus.zlattice import (
     hermite_normal_form,
     identity_matrix,
     lattice_member,
-    mat_mul,
     smith_normal_form,
-    unimodular_inverse,
 )
+
+
+def mat_mul(a: tuple, b: tuple) -> tuple:
+    if a and b and len(a[0]) != len(b):
+        raise ShapeMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0] if b else ())}")
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols))
+        for row in a
+    )
+
+
+def unimodular_inverse(m: tuple) -> tuple:
+    """Exact inverse of an integer matrix with det = +-1."""
+    n = len(m)
+    d = det_int(m)
+    if d not in (1, -1):
+        raise InvalidInput(f"matrix is not unimodular (det = {d})")
+    # adjugate via cofactors; fine at the ranks that occur here
+    if n == 0:
+        return ()
+    cof = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = tuple(
+                tuple(m[r][c] for c in range(n) if c != j)
+                for r in range(n) if r != i
+            )
+            cof[i][j] = (-1) ** (i + j) * det_int(minor)
+    return tuple(tuple(cof[j][i] * d for j in range(n)) for i in range(n))
 
 
 def random_unimodular(n: int, rng, steps: int = 12) -> tuple:
