@@ -29,7 +29,6 @@ from .fredholm import (
     PairingResult,
     canonical_even,
     canonical_odd,
-    compactness_report,
     conjugate_module,
     dirac_even_pairing,
     dirac_module,
@@ -70,7 +69,6 @@ __all__ = [
     "canonical_odd",
     "cf_expand",
     "clock_shift",
-    "compactness_report",
     "conjugate_module",
     "convergents",
     "dirac_data",

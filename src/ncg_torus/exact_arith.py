@@ -106,9 +106,6 @@ class CFExpansion:
         if self.terminated and self.digits and self.digits[-1] < 2:
             raise InvalidInput("terminating expansion must end with a digit >= 2")
 
-    def __len__(self) -> int:
-        return len(self.digits)
-
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.digits)
         return f"[{self.a0}; {inner}]" if inner else f"[{self.a0}]"

@@ -84,19 +84,6 @@ class PairingResult:
         return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    """Norms of [F, pi(g)] per generator, with their far-field tails."""
-
-    dim: int
-    norms: dict
-    tail_norms: dict
-    tail_radius: Optional[int]
-
-    def to_json_obj(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 # --- unitary words -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -148,15 +135,11 @@ class EvenFredholmModule:
     """Canonical graded module with pi = phi (+) 0 over a unitary fiber pair.
 
     H = C^fiber_dim (+) C^fiber_dim, gamma = 1 (+) -1 and F swaps the two
-    summands, so F^2 = 1 and gamma F = -F gamma hold exactly.
+    summands, so F^2 = 1 and gamma F = -F gamma hold exactly.  Its
+    pairing is a trace, which reads only the fiber dimension.
     """
 
-    fiber: dict  # generator name -> matrix on the fiber space
     fiber_dim: int
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.fiber_dim
 
 
 @dataclass(frozen=True)
@@ -169,10 +152,6 @@ class BoxFredholmModule:
 
     base: TruncatedZ2Rep
     phases: Optional[np.ndarray] = None
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.base.dim
 
 
 @dataclass(frozen=True)
@@ -187,10 +166,6 @@ class OddFredholmModule:
     fiber_dim: int = 1
     phases: Optional[np.ndarray] = None
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim * self.fiber_dim
-
 
 def canonical_even(phi: dict) -> EvenFredholmModule:
     """Degenerate even module pi = phi (+) 0; its pairing is the trace."""
@@ -203,7 +178,7 @@ def canonical_even(phi: dict) -> EvenFredholmModule:
             raise InvalidInput("generator matrices must be square of equal size")
         if np.linalg.norm(g.conj().T @ g - np.eye(d), 2) > UNITARY_TOL:
             raise NotUnitary(f"phi({name}) is not unitary")
-    return EvenFredholmModule(mats, d)
+    return EvenFredholmModule(d)
 
 
 def even_pairing(module: EvenFredholmModule, e: np.ndarray) -> PairingResult:
@@ -320,6 +295,7 @@ def dirac_module(theta: ThetaLike, N: int) -> BoxFredholmModule:
     return BoxFredholmModule(dirac_data(theta, N))
 
 
+#: (theta, N) -> the unconjugated trace-theta pass; the key is all it reads
 _dirac_cache: dict = {}
 
 
@@ -356,7 +332,7 @@ def _mirror_polish(p: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
     """One trace-theta box pass over the box rep."""
     N = rep.N
-    key = (repr(rep.theta_input), N)
+    key = (rep.theta, N)
     if phases is None and key in _dirac_cache:
         return _dirac_cache[key]
     # tail quality wants K large, the exactness margin wants 2K <= N,
@@ -446,12 +422,12 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
     # "one" compresses to an exact unitary: no recheck
     if stability_check and p == "trace-theta":
         _recheck(module, value, details, lambda n: _dirac_single(
-            dirac_data(rep.theta_input, n), None)["value"])
+            dirac_data(rep.theta, n), None)["value"])
     return PairingResult(value, "compressed-index", N, DIRAC_RANK_TOL,
                          stability_check, details)
 
 
-# --- conjugation and diagnostics ---------------------------------------------------
+# --- conjugation ---------------------------------------------------------------
 
 def _conjugated(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     """diag(d) m diag(d)^*."""
@@ -463,10 +439,11 @@ def conjugate_module(module, phases: Sequence[complex]):
 
     The half-line projection and the phase symmetry are diagonal, so they
     commute with the conjugation; every pairing is left exactly invariant.
-    Odd and box modules record the phases, which the pairing applies; the
-    canonical even module conjugates its fiber.  The phases have no
-    counterpart at a larger truncation, so pair a conjugated odd or box
-    module with stability_check=False.
+    Odd and box modules record the phases, which the pairing applies.  The
+    canonical even module is returned unchanged once the phases pass their
+    checks: its pairing is the trace, which conjugation leaves exactly
+    invariant.  The phases have no counterpart at a larger truncation, so
+    pair a conjugated odd or box module with stability_check=False.
     """
     recorded = isinstance(module, (OddFredholmModule, BoxFredholmModule))
     if recorded:
@@ -480,55 +457,8 @@ def conjugate_module(module, phases: Sequence[complex]):
         raise InvalidInput(f"{ph.size} phases for a space of dimension {size}")
     if np.abs(np.abs(ph) - 1.0).max() > 1e-12:
         raise NotUnitary("conjugating phases must have unit modulus")
-    if recorded:
-        if module.phases is not None:
-            ph = ph * module.phases  # conjugations compose
-        return dataclasses.replace(module, phases=ph)
-    return EvenFredholmModule(
-        {k: _conjugated(ph, v) for k, v in module.fiber.items()}, size)
-
-
-def compactness_report(module) -> CommutatorReport:
-    """Norms of [F, pi(g)]: full, and restricted to far-field columns.
-
-    For half-line modules the commutator is concentrated at the sign jump,
-    for the box module it decays like 1/r; in both cases the tail norm
-    shrinking with distance is the finite-volume trace of compactness.
-    """
-    if isinstance(module, OddFredholmModule):
-        # F = diag(sign k) with sign(0) = +1; it is diagonal, so the
-        # conjugation ``phases`` changes no norm
-        N = module.base.N
-        signs = np.where(np.arange(-N, N + 1) >= 0, 1.0, -1.0)
-        tail = [k + N for k in range(-N, N + 1) if abs(k) > N // 2]
-        norms, tails = {}, {}
-        for name, g in (("U", module.base.U), ("V", module.base.V)):
-            c = signs[:, None] * g - g * signs[None, :]
-            norms[name] = float(np.linalg.norm(c, 2))
-            tails[name] = float(np.linalg.norm(c[:, tail], 2)) if tail else 0.0
-        return CommutatorReport(module.dim, norms, tails, N // 2)
-    if isinstance(module, BoxFredholmModule):
-        # [F0, U] e_{m,n} = (F0[m+1,n] - F0[m,n]) e_{m+1,n} and [F0, V] e_{m,n}
-        # = lambda^m (F0[m,n+1] - F0[m,n]) e_{m,n+1} are weighted partial
-        # permutations, so their 2-norm on any set of columns is the largest
-        # |weight| there; the diagonal conjugation ``phases`` changes no norm
-        rep = module.base
-        N = rep.N
-        f = rep.F0_diag.reshape(2 * N + 1, 2 * N + 1)  # f[m + N, n + N]
-        r = np.abs(np.arange(-N, N + 1))
-        far = np.maximum.outer(r, r) > N // 2  # the tail columns
-        norms, tails = {}, {}
-        for name, jump, tail in (("U", f[1:] - f[:-1], far[:-1]),
-                                 ("V", f[:, 1:] - f[:, :-1], far[:, :-1])):
-            norms[name] = float(np.abs(jump).max())
-            tails[name] = float(np.abs(jump[tail]).max())
-        return CommutatorReport(rep.dim, norms, tails, N // 2)
-    if isinstance(module, EvenFredholmModule):
-        norms = {}
-        for name, g in module.fiber.items():
-            # F swaps the summands of pi = phi (+) 0: the commutator norm
-            # is just the generator norm, there is no far field to decay in
-            norms[name] = float(np.linalg.norm(g, 2))
-        return CommutatorReport(module.dim, norms,
-                                {k: 0.0 for k in norms}, None)
-    raise UnsupportedForm(f"no report for {type(module).__name__}")
+    if not recorded:
+        return module
+    if module.phases is not None:
+        ph = ph * module.phases  # conjugations compose
+    return dataclasses.replace(module, phases=ph)

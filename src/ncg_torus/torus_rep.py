@@ -139,17 +139,22 @@ def truncated_rep(theta: ThetaLike, N: int, variant: str = "z1") -> TruncatedZRe
 
 @dataclass(frozen=True)
 class TruncatedZ2Rep:
-    """Box truncation |m|,|n| <= N of the two-index rep, with the phase F0;
-    the dense ``U`` and ``V`` are built on first read."""
+    """Box truncation |m|,|n| <= N of the two-index rep; the phase
+    ``F0_diag`` and the dense ``U`` and ``V`` are built on first read."""
 
-    theta_input: ThetaLike
     theta: float
     N: int
-    F0_diag: np.ndarray  # unit-modulus entries, ordered like the basis
 
     @property
     def dim(self) -> int:
         return (2 * self.N + 1) ** 2
+
+    @cached_property
+    def F0_diag(self) -> np.ndarray:
+        """Unit-modulus entries of F0, ordered like the basis."""
+        rng = range(-self.N, self.N + 1)
+        return np.array([complex(m, n) / math.hypot(m, n) if m or n else 1.0
+                         for m in rng for n in rng], dtype=complex)
 
     def site_index(self, m: int, n: int) -> int:
         if abs(m) > self.N or abs(n) > self.N:
@@ -178,13 +183,10 @@ class TruncatedZ2Rep:
 
 
 def dirac_data(theta: ThetaLike, N: int) -> TruncatedZ2Rep:
-    """Box rep with the diagonal phase operator F0; U and V come lazily."""
+    """Box rep at theta; the phase operator F0, U and V come lazily."""
     if N < 1:
         raise InvalidInput("N must be >= 1")
-    rng = range(-N, N + 1)
-    f0 = np.array([complex(m, n) / math.hypot(m, n) if m or n else 1.0
-                   for m in rng for n in rng], dtype=complex)
-    return TruncatedZ2Rep(theta, theta_to_float(theta), N, f0)
+    return TruncatedZ2Rep(theta_to_float(theta), N)
 
 
 # --- polynomial elements of the algebra ---------------------------------------
@@ -236,9 +238,6 @@ class TorusPolynomial:
         for (m, n), c in self.coeffs:
             d[(-m, -n)] = d.get((-m, -n), 0) + c.conjugate() * self.lam ** (m * n)
         return TorusPolynomial.from_dict(self.theta, d)
-
-    def a00(self) -> complex:
-        return dict(self.coeffs).get((0, 0), 0j)
 
     def realize_box(self, rep: TruncatedZ2Rep) -> np.ndarray:
         """Exact compression of the polynomial to the box basis.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import InvalidInput, ShapeMismatch
 
@@ -206,11 +206,6 @@ class IntegerMatrixMap:
             if len(row) != self.domain.rank:
                 raise ShapeMismatch(
                     f"map {self.name}: row length {len(row)} for domain rank {self.domain.rank}")
-
-    def apply(self, vec: Sequence[int]) -> Vector:
-        if len(vec) != self.domain.rank:
-            raise ShapeMismatch(f"vector of length {len(vec)} for rank {self.domain.rank}")
-        return tuple(sum(row[k] * vec[k] for k in range(len(vec))) for row in self.matrix)
 
     def image_generators(self) -> tuple[Vector, ...]:
         return tuple(

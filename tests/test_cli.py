@@ -329,6 +329,9 @@ PINNED_STDOUT = [
      "afa9be249e1a1c91614373203bef77584b9e7fbd53a81d1c51ecc6fbc9d89bcb"),
     (("rep-dump", "--rep", "dirac", "--theta", "0.3", "--N", "2"), 0,
      "bbde3b63722ff412c63a9bafd9c8c3ea1cb9b9fcfe07f9af9496442a8fbadf6b"),
+    # a negative fraction needs "=": argparse reads "-3/7" as a flag
+    (("rep-dump", "--rep", "clock", "--theta=-3/7"), 0,
+     "5404d0e027454a55fab814650e7ae002ec22c847f270728738f67b6302cb755f"),
     (("pair", "--module", "z1prime", "--class", "V", "--power", "-3", "--N", "12"),
      0, "365d19b736e1ff1046b0ef4c74c1eb3c0df4c2ed5d70d25637aae237d3d98a78"),
     # the flag goes first so that the test id differs from the z1 call above

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -15,11 +14,11 @@ from ncg_torus.errors import (
     UnsupportedForm,
 )
 from ncg_torus.fredholm import (
+    BoxFredholmModule,
     GeneratorWord,
     OddFredholmModule,
     canonical_even,
     canonical_odd,
-    compactness_report,
     conjugate_module,
     dirac_even_pairing,
     dirac_module,
@@ -150,6 +149,9 @@ class TestOddPairing:
         assert res.stable
         assert res.details["N_recheck"] == 12
         assert res.method == "kernel-index"
+        obj = res.to_json_obj()
+        assert (obj["value"], obj["stable"], obj["method"]) == \
+            (-1, True, "kernel-index")
         res2 = odd_pairing(mod, "U", stability_check=False)
         assert res2.value == res.value and not res2.stable
 
@@ -346,40 +348,9 @@ class TestDiracPairing:
         with pytest.raises(InvalidInput):
             dirac_even_pairing(mod, spec, stability_check=False)
 
-
-class TestCompactnessReport:
-    def test_half_line_commutators_are_edge_localized(self):
-        mod = canonical_odd(truncated_rep(GOLDEN, 12))
-        rep = compactness_report(mod)
-        # the symmetry jumps once, at the origin: full norm 2, no far field
-        assert rep.norms["U"] == pytest.approx(2.0, abs=1e-12)
-        assert rep.norms["V"] <= 1e-14
-        assert rep.tail_norms["U"] <= 1e-14
-
-    def test_box_commutators_decay(self):
-        small = compactness_report(dirac_module(GOLDEN, 6))
-        large = compactness_report(dirac_module(GOLDEN, 12))
-        for g in ("U", "V"):
-            assert large.tail_norms[g] < small.tail_norms[g]
-            assert large.tail_norms[g] <= 4.0 / 12
-
-    def test_box_norms_come_from_the_phase_alone(self, monkeypatch):
-        for N in (3, 6):
-            mod = dirac_module(GOLDEN, N)
-            report = compactness_report(mod)
-            rep = mod.base
-            f0 = rep.F0_diag
-            far = [rep.site_index(m, n)
-                   for m, n in itertools.product(range(-N, N + 1), repeat=2)
-                   if max(abs(m), abs(n)) > N // 2]
-            for g in ("U", "V"):
-                gen = getattr(rep, g)
-                c = f0[:, None] * gen - gen * f0[None, :]
-                assert abs(report.norms[g] - np.linalg.norm(c, 2)) <= 1e-12
-                assert abs(report.tail_norms[g]
-                           - np.linalg.norm(c[:, far], 2)) <= 1e-12
-        # a certified pairing (both passes really run) and the report build
-        # no dense generator, neither on the module nor inside the passes
+    def test_certified_pairing_builds_no_dense_generator(self, monkeypatch):
+        # both passes really run: one box rep at N and one at N + 4, and
+        # neither builds dense U or V, on the module or inside the passes
         built = []
 
         def recording(theta, N):
@@ -390,16 +361,18 @@ class TestCompactnessReport:
         monkeypatch.setattr(fredholm, "_dirac_cache", {})
         module = dirac_module(GOLDEN, 12)
         assert dirac_even_pairing(module, "trace-theta").value == -1
-        compactness_report(module)
         assert [rep.N for rep in built] == [12, 16]
         for rep in built:
             assert "U" not in vars(rep) and "V" not in vars(rep)
 
-    def test_canonical_report_and_json(self):
-        rep = compactness_report(trivial_even())
-        obj = rep.to_json_obj()
-        assert set(obj) == {"dim", "norms", "tail_norms", "tail_radius"}
-        res = odd_pairing(canonical_odd(truncated_rep(GOLDEN, 8)), "U")
-        robj = res.to_json_obj()
-        assert robj["value"] == -1 and robj["stable"] is True
-        assert robj["method"] == "kernel-index"
+    def test_cache_answers_only_for_the_angle_it_was_built_at(self, monkeypatch):
+        # a rep hand-built at theta = 0.1 is paired first; the box at
+        # theta = 0.45 and the same N must still get a pass of its own
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        other = dataclasses.replace(dirac_data("0.45", 12), theta=0.1)
+        first = dirac_even_pairing(BoxFredholmModule(other), "trace-theta",
+                                   stability_check=False)
+        second = dirac_even_pairing(dirac_module("0.45", 12), "trace-theta",
+                                    stability_check=False)
+        assert second.value == -1
+        assert second.details["rank"] != first.details["rank"]
