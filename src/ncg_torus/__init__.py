@@ -25,7 +25,6 @@ from .exact_arith import (
     parse_theta,
 )
 from .fredholm import (
-    GeneratorWord,
     PairingResult,
     canonical_even,
     canonical_odd,
@@ -58,7 +57,6 @@ __all__ = [
     "CFExpansion",
     "ConvergentTable",
     "CyclicSequence",
-    "GeneratorWord",
     "IntegerMatrixMap",
     "PairingResult",
     "TorusPolynomial",

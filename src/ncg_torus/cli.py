@@ -154,6 +154,8 @@ def cmd_pair(args) -> dict:
     theta = _theta_text(args.theta)
     parse_theta(theta)  # z0 reads no angle, but junk is rejected everywhere
     klass = args.klass
+    if args.power != 1 and args.module not in ("z1", "z1prime"):
+        raise InvalidInput(f"module {args.module} takes no --power")
     if args.module in ("z0", "z0prime"):
         if klass not in ("1", "p"):
             raise InvalidInput(f"module {args.module} pairs with classes 1 and p")
@@ -164,20 +166,16 @@ def cmd_pair(args) -> dict:
     elif args.module in ("z1", "z1prime"):
         if klass not in ("U", "V"):
             raise InvalidInput(f"module {args.module} pairs with classes U and V")
-        variant = "z1" if args.module == "z1" else "z1prime"
-        mod = canonical_odd(truncated_rep(theta, args.N, variant))
-        word = klass if args.power == 1 else f"{klass}^{args.power}"
-        body = odd_pairing(mod, word,
+        mod = canonical_odd(truncated_rep(theta, args.N, args.module))
+        body = odd_pairing(mod, f"{klass}^{args.power}",
                            stability_check=not args.no_stability).to_json_obj()
-    elif args.module == "dirac":
+    else:
         if klass not in ("1", "p"):
             raise InvalidInput("module dirac pairs with classes 1 and p")
         mod = dirac_module(theta, args.N)
         token = "one" if klass == "1" else "trace-theta"
         body = dirac_even_pairing(
             mod, token, stability_check=not args.no_stability).to_json_obj()
-    else:
-        raise InvalidInput(f"unknown module {args.module!r}")
     return {"module": args.module, "class": klass, "theta": theta,
             "result": body}
 
@@ -203,10 +201,8 @@ def _parse_perturbation(spec: str, seq: zlattice.CyclicSequence):
 def cmd_sequence(args) -> dict:
     if args.which == "khomology":
         seq = zlattice.builtin_khomology_sequence()
-    elif args.which == "ktheory":
-        seq = zlattice.builtin_ktheory_sequence()
     else:
-        raise InvalidInput(f"unknown sequence {args.which!r}")
+        seq = zlattice.builtin_ktheory_sequence()
     for spec in args.perturb or []:
         name, matrix = _parse_perturbation(spec, seq)
         seq = seq.with_matrix(name, matrix)
@@ -256,13 +252,10 @@ def cmd_rep_dump(args) -> dict:
         return {"rep": args.rep, "dim": rep.dim, "theta": theta, "N": rep.N,
                 "defective_generator": rep.defective_generator,
                 "U": _matrix_dump(rep.U), "V": _matrix_dump(rep.V)}
-    if args.rep == "dirac":
-        rep = dirac_data(theta, args.N)
-        return {"rep": "dirac", "dim": rep.dim, "theta": theta, "N": rep.N,
-                "U": _matrix_dump(rep.U), "V": _matrix_dump(rep.V),
-                "F0_diag": [[float(z.real), float(z.imag)]
-                            for z in rep.F0_diag]}
-    raise InvalidInput(f"unknown representation {args.rep!r}")
+    rep = dirac_data(theta, args.N)
+    return {"rep": "dirac", "dim": rep.dim, "theta": theta, "N": rep.N,
+            "U": _matrix_dump(rep.U), "V": _matrix_dump(rep.V),
+            "F0_diag": [[float(z.real), float(z.imag)] for z in rep.F0_diag]}
 
 
 # --- driver -----------------------------------------------------------------------

@@ -4,9 +4,9 @@ Three computation routes, all returning integers:
 
 * ``even_pairing``: canonical even modules pair a projection with the
   trace of its realization ("trace-formula" method);
-* ``odd_pairing``: hard-cutoff compression E u E of a unitary word against
-  the half-line projection E = [k >= 0], kernel dimensions counted on
-  columns that stay away from the truncation edge ("kernel-index");
+* ``odd_pairing``: hard-cutoff compression E u E of a unitary monomial
+  against the half-line projection E = [k >= 0], kernel dimensions counted
+  on columns that stay away from the truncation edge ("kernel-index");
 * ``dirac_even_pairing``: the two-index box module; the projection is
   polished spectrally, the phase operator is compressed to its range and
   near-kernel vectors are classified by interior mass ("compressed-index").
@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .errors import (
 )
 from .torus_rep import (
     ThetaLike,
+    TorusPolynomial,
     TruncatedZ2Rep,
     TruncatedZRep,
     dirac_data,
@@ -84,50 +85,6 @@ class PairingResult:
         return dataclasses.asdict(self)
 
 
-# --- unitary words -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneratorWord:
-    """A product of generator powers, e.g. (("U", 2), ("V", -1))."""
-
-    factors: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def parse(cls, text: str) -> "GeneratorWord":
-        """Parse compact syntax like "U", "U^-2", "U V^-1"."""
-        factors = []
-        for tok in text.split():
-            if "^" in tok:
-                name, _, p = tok.partition("^")
-                try:
-                    power = int(p)
-                except ValueError:
-                    raise InvalidInput(f"bad power in {tok!r}") from None
-            else:
-                name, power = tok, 1
-            if name not in ("U", "V"):
-                raise InvalidInput(f"unknown generator {name!r}")
-            factors.append((name, power))
-        if not factors:
-            raise InvalidInput("empty generator word")
-        return cls(tuple(factors))
-
-    def realize(self, gens: dict) -> np.ndarray:
-        mats = []
-        for name, power in self.factors:
-            if name not in gens:
-                raise InvalidInput(f"unknown generator {name!r}")
-            g = gens[name]
-            if power >= 0:
-                mats.append(np.linalg.matrix_power(g, power))
-            else:
-                mats.append(np.linalg.matrix_power(g.conj().T, -power))
-        out = mats[0]
-        for m in mats[1:]:
-            out = out @ m
-        return out
-
-
 # --- modules --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -147,11 +104,17 @@ class BoxFredholmModule:
     """Box module: H = C^dim (+) C^dim over the box rep, gamma = 1 (+) -1,
     F = [[0, diag(conj(F0))], [diag(F0), 0]] with F0 = ``base.F0_diag``.
 
-    ``phases`` is the diagonal conjugation set by ``conjugate_module``.
+    ``phases`` is the diagonal conjugation set by ``conjugate_module``;
+    construction checks it as ``conjugate_module`` does.
     """
 
     base: TruncatedZ2Rep
     phases: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.phases is not None:
+            object.__setattr__(self, "phases",
+                               _unit_phases(self.phases, self.base.dim))
 
 
 @dataclass(frozen=True)
@@ -159,12 +122,20 @@ class OddFredholmModule:
     """Half-line symmetry F = diag(sign k) over fiber_dim copies of a
     truncated shift rep.
 
-    ``phases`` is the diagonal conjugation set by ``conjugate_module``.
+    ``phases`` is the diagonal conjugation set by ``conjugate_module``;
+    construction checks it as ``conjugate_module`` does.
     """
 
     base: TruncatedZRep
     fiber_dim: int = 1
     phases: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.fiber_dim < 1:
+            raise InvalidInput("fiber_dim must be >= 1")
+        if self.phases is not None:
+            object.__setattr__(self, "phases",
+                               _unit_phases(self.phases, self.base.dim))
 
 
 def canonical_even(phi: dict) -> EvenFredholmModule:
@@ -211,8 +182,6 @@ def even_pairing(module: EvenFredholmModule, e: np.ndarray) -> PairingResult:
 
 
 def canonical_odd(rep: TruncatedZRep, fiber_dim: int = 1) -> OddFredholmModule:
-    if fiber_dim < 1:
-        raise InvalidInput("fiber_dim must be >= 1")
     return OddFredholmModule(rep, fiber_dim)
 
 
@@ -232,49 +201,54 @@ def _recheck(module, value: int, details: dict,
 
 
 def _kernel_count(a: np.ndarray, tol: float) -> int:
-    if a.shape[1] == 0:
-        return 0
     s = np.linalg.svd(a, compute_uv=False)
     # columns <= rows here, so every kernel vector shows up as a small sigma
     return int(np.count_nonzero(s < tol))
 
 
-def odd_pairing(module: OddFredholmModule, u: Union[GeneratorWord, str],
+def _parse_word(text: str, theta: float) -> TorusPolynomial:
+    """The monomial of compact syntax like "U", "U^-2", "U V^-1"."""
+    word = TorusPolynomial.from_dict(theta, {(0, 0): 1})
+    for tok in text.split():
+        name, hat, p = tok.partition("^")
+        try:
+            power = int(p) if hat else 1
+        except ValueError:
+            raise InvalidInput(f"bad power in {tok!r}") from None
+        if name not in ("U", "V"):
+            raise InvalidInput(f"unknown generator {name!r}")
+        key = (power, 0) if name == "U" else (0, power)
+        word = word * TorusPolynomial.from_dict(theta, {key: 1})
+    if not text.split():
+        raise InvalidInput("empty generator word")
+    return word
+
+
+def odd_pairing(module: OddFredholmModule, u: str,
                 stability_check: bool = True) -> PairingResult:
     """Index of E u E with E = [k >= 0], domain restricted to the bulk.
 
-    Kernel dimensions of the compression and its adjoint are counted on
-    columns at least max(bandwidth, 1) sites from the cutoff, where the
-    realized word acts exactly like its infinite counterpart.  The word
-    acts alike on every fiber copy, so it is realized once and its counts
-    are multiplied by the fiber dimension.
+    The word is a monomial c U^a V^b, compressed exactly to the window;
+    its bandwidth is the shift generator's exponent.  Kernel dimensions of
+    the compression and its adjoint are counted on columns at least
+    max(bandwidth, 1) sites from the cutoff.  The word acts alike on every
+    fiber copy, so its counts are multiplied by the fiber dimension.
     """
-    if isinstance(u, str):
-        u = GeneratorWord.parse(u)
-    if not isinstance(u, GeneratorWord):
-        raise UnsupportedForm(f"cannot realize {type(u).__name__} as a unitary")
     base = module.base
-    gens = {"U": base.U, "V": base.V}
-    if module.phases is not None:
-        gens = {k: _conjugated(module.phases, g) for k, g in gens.items()}
-    b = u.realize(gens)
-    N = base.N
-    rows, cols = np.nonzero(np.abs(b) > 1e-12)
-    bw = int(np.abs(rows - cols).max()) if rows.size else 0
+    word = _parse_word(u, base.theta)
+    [(a, b)] = word.as_dict()
+    bw = abs(a) if base.variant == "z1" else abs(b)
     margin = max(bw, 1)
+    N = base.N
     if N < margin + 2:
         raise RepresentationTooSmall(
             f"N = {N} leaves no bulk for a word of bandwidth {bw}")
-    # unitarity away from the edge (shift truncation kills one column per power)
-    safe = [k + N for k in range(-N + bw, N - bw + 1)]
-    for d in (b.conj().T @ b - np.eye(2 * N + 1),
-              b @ b.conj().T - np.eye(2 * N + 1)):
-        worst = float(np.sqrt((np.abs(d[:, safe]) ** 2).sum(axis=0)).max())
-        if worst > UNITARY_TOL:
-            raise NotUnitary(f"interior unitarity defect {worst:.2e}")
+    w = word.realize_line(base)
+    if module.phases is not None:
+        w = _conjugated(module.phases, w)
     half = slice(N, 2 * N + 1)  # rows and columns with k >= 0
     bulk = N - margin + 1       # columns 0 <= k <= N - margin
-    comp = b[half, half]
+    comp = w[half, half]
     ker = module.fiber_dim * _kernel_count(comp[:, :bulk], ODD_RANK_TOL)
     coker = module.fiber_dim * _kernel_count(comp.conj().T[:, :bulk], ODD_RANK_TOL)
     value = ker - coker
@@ -282,7 +256,7 @@ def odd_pairing(module: OddFredholmModule, u: Union[GeneratorWord, str],
     if stability_check:
         _recheck(module, value, details, lambda n: odd_pairing(
             dataclasses.replace(module, base=truncated_rep(
-                base.theta_input, n, base.variant)),
+                base.theta, n, base.variant)),
             u, stability_check=False).value)
     return PairingResult(value, "kernel-index", N, ODD_RANK_TOL,
                          stability_check, details)
@@ -434,6 +408,16 @@ def _conjugated(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (d[:, None] * m) * d.conj()[None, :]
 
 
+def _unit_phases(phases: Sequence[complex], size: int) -> np.ndarray:
+    """A checked conjugation: one unit-modulus phase per basis vector."""
+    ph = np.asarray(phases, dtype=complex)
+    if ph.shape != (size,):
+        raise InvalidInput(f"{ph.size} phases for a space of dimension {size}")
+    if np.abs(np.abs(ph) - 1.0).max() > 1e-12:
+        raise NotUnitary("conjugating phases must have unit modulus")
+    return ph
+
+
 def conjugate_module(module, phases: Sequence[complex]):
     """Conjugate every generator by a diagonal unitary diag(phases).
 
@@ -452,11 +436,7 @@ def conjugate_module(module, phases: Sequence[complex]):
         size = module.fiber_dim
     else:
         raise UnsupportedForm(f"cannot conjugate {type(module).__name__}")
-    ph = np.asarray(phases, dtype=complex)
-    if ph.shape != (size,):
-        raise InvalidInput(f"{ph.size} phases for a space of dimension {size}")
-    if np.abs(np.abs(ph) - 1.0).max() > 1e-12:
-        raise NotUnitary("conjugating phases must have unit modulus")
+    ph = _unit_phases(phases, size)
     if not recorded:
         return module
     if module.phases is not None:

@@ -12,9 +12,10 @@ Conventions, used consistently across the package:
   U e_{m,n} = e_{m+1,n}, V e_{m,n} = lambda^m e_{m,n+1} and the diagonal
   phase F0 e_{m,n} = (m+in)/sqrt(m^2+n^2) e_{m,n}, F0 e_{0,0} = e_{0,0}.
 
-Shift generators are truncated (the outgoing boundary column is zero); the
-defective generator is recorded so index computations can stay away from
-the edge.
+Shift generators are truncated (the outgoing boundary column is zero).  The
+index routes never multiply truncated generators: ``realize_box`` and
+``realize_line`` compress a polynomial exactly to the window, so interior
+columns carry no truncation error.
 """
 
 from __future__ import annotations
@@ -94,19 +95,44 @@ def clock_shift(m: int, q: int) -> ClockShiftRep:
 
 @dataclass(frozen=True)
 class TruncatedZRep:
-    """Truncation to span(e_{-N..N}) of a singly generated shift rep."""
+    """Truncation to span(e_{-N..N}) of a singly generated shift rep; the
+    dense ``U`` and ``V`` are built on first read."""
 
-    theta_input: ThetaLike
     theta: float
     N: int
     variant: str  # "z1" | "z1prime"
-    U: np.ndarray
-    V: np.ndarray
-    defective_generator: str  # which generator lost its boundary column
+
+    def __post_init__(self):
+        if self.N < 1:
+            raise InvalidInput("N must be >= 1")
+        if self.variant not in ("z1", "z1prime"):
+            raise InvalidInput(f"unknown variant {self.variant!r}")
 
     @property
     def dim(self) -> int:
         return 2 * self.N + 1
+
+    @property
+    def defective_generator(self) -> str:
+        """The shift generator, which loses its outgoing boundary column."""
+        return "U" if self.variant == "z1" else "V"
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        return self._dense("z1", -1)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return self._dense("z1prime", 1)
+
+    def _dense(self, shifts_on: str, sign: int) -> np.ndarray:
+        """The shift e_k -> e_{k+1}, e_N -> 0 on the variant that shifts
+        with this generator, else the clock e_k -> lambda^(sign k) e_k."""
+        if self.variant == shifts_on:
+            return np.eye(self.dim, k=-1, dtype=complex)
+        lam = cmath.exp(2j * math.pi * self.theta)
+        return np.diag([lam**(sign * k) for k in range(-self.N, self.N + 1)]
+                       ).astype(complex)
 
     def interior_defect(self) -> float:
         """Commutation defect of VU - lambda UV on columns |k| <= N-1."""
@@ -116,25 +142,8 @@ class TruncatedZRep:
 
 
 def truncated_rep(theta: ThetaLike, N: int, variant: str = "z1") -> TruncatedZRep:
-    if N < 1:
-        raise InvalidInput("N must be >= 1")
-    th = theta_to_float(theta)
-    lam = cmath.exp(2j * math.pi * th)
-    dim = 2 * N + 1
-    shift = np.zeros((dim, dim), dtype=complex)
-    for k in range(-N, N):
-        shift[k + 1 + N, k + N] = 1.0  # e_k -> e_{k+1}, e_N -> 0
-    if variant == "z1":
-        u = shift
-        v = np.diag([lam**k for k in range(-N, N + 1)]).astype(complex)
-        defective = "U"
-    elif variant == "z1prime":
-        u = np.diag([lam**(-k) for k in range(-N, N + 1)]).astype(complex)
-        v = shift
-        defective = "V"
-    else:
-        raise InvalidInput(f"unknown variant {variant!r}")
-    return TruncatedZRep(theta, th, N, variant, u, v, defective)
+    """Line rep at theta; U and V come lazily."""
+    return TruncatedZRep(theta_to_float(theta), N, variant)
 
 
 @dataclass(frozen=True)
@@ -258,6 +267,23 @@ class TorusPolynomial:
             cols = ((ms + rep.N) * w)[:, None] + (ns + rep.N)[None, :]
             vals = c * lam ** (ms * b)
             out[rows, cols] += np.broadcast_to(vals[:, None], rows.shape)
+        return out
+
+    def realize_line(self, rep: TruncatedZRep) -> np.ndarray:
+        """Exact compression of the polynomial to the line basis e_k,
+        |k| <= N: on z1 U^a V^b e_k = lambda^(bk) e_{k+a}, on z1prime
+        U^a V^b e_k = lambda^(-a(k+b)) e_{k+b}; only images outside the
+        window are dropped."""
+        lam = cmath.exp(2j * math.pi * rep.theta)
+        out = np.zeros((rep.dim, rep.dim), dtype=complex)
+        ks = np.arange(-rep.N, rep.N + 1)
+        for (a, b), c in self.coeffs:
+            if rep.variant == "z1":
+                step, vals = a, c * lam ** (b * ks)
+            else:
+                step, vals = b, c * lam ** (-a * (ks + b))
+            kept = np.abs(ks + step) <= rep.N
+            out[ks[kept] + step + rep.N, ks[kept] + rep.N] += vals[kept]
         return out
 
 

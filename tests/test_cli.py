@@ -132,6 +132,21 @@ class TestPairCommand:
         code, _, _ = run_cli(capsys, "pair", "--module", "z1", "--class", "p")
         assert code == 2
 
+    @pytest.mark.parametrize("module,klass", [("z0", "1"), ("z0prime", "p"),
+                                              ("dirac", "1")])
+    def test_even_module_refuses_a_power(self, capsys, module, klass):
+        code, out, err = run_cli(capsys, "pair", "--module", module, "--class",
+                                 klass, "--power", "3", "--N", "3", "--theta", "2/7")
+        assert code == 2 and out == ""
+        assert "--power" in err
+
+    def test_power_past_the_window_leaves_no_bulk(self, capsys):
+        # U^33 on |k| <= 16 used to realize to the zero matrix
+        code, out, err = run_cli(capsys, "pair", "--module", "z1", "--class", "U",
+                                 "--power", "33", "--N", "16")
+        assert code == 3 and out == ""
+        assert "bandwidth 33" in err
+
     def test_clock_module_requires_exact_rational(self, capsys):
         code, _, err = run_cli(capsys, "pair", "--module", "z0prime",
                                "--class", "p", "--theta", "golden")
@@ -339,6 +354,12 @@ PINNED_STDOUT = [
      "2754c69dbffb851e77bd1b861f39bcb49a9728868b4fcb3aad0915c73dd0eac3"),
     (("cf", "--theta", "1e4200", "--depth", "3"), 0,
      "89a52cda2467b588635c40d83237427408394463be1fb4f7896147c0592feb72"),
+    # the diagonal generator of each variant, at a power other than 1; --N
+    # goes first so that the test ids differ from the calls above
+    (("pair", "--N", "10", "--module", "z1prime", "--class", "U", "--power", "-2"),
+     0, "0cde16c5315bf6d5ceed8f911e52d20af251ded7eec9ec16faff71470d283ee2"),
+    (("pair", "--N", "6", "--module", "z1", "--class", "V", "--power", "0"), 0,
+     "e5482c4897da4912c579205038a47542d9d8a8478363de4c306820f57ddcfed8"),
 ]
 
 

@@ -15,7 +15,6 @@ from ncg_torus.errors import (
 )
 from ncg_torus.fredholm import (
     BoxFredholmModule,
-    GeneratorWord,
     OddFredholmModule,
     canonical_even,
     canonical_odd,
@@ -183,12 +182,40 @@ class TestOddPairing:
         with pytest.raises(RepresentationTooSmall):
             odd_pairing(mod, "U^2")
 
-    def test_non_unitary_word_is_rejected(self):
-        base = truncated_rep(GOLDEN, 8)
-        doctored = dataclasses.replace(base, U=0.5 * base.U)
-        mod = OddFredholmModule(doctored, 1, None)
-        with pytest.raises(NotUnitary):
-            odd_pairing(mod, "U", stability_check=False)
+    @pytest.mark.parametrize("variant,word,N,value", [
+        ("z1", "U^3 U^-1", 8, -2),
+        ("z1prime", "V U^2 V^-1", 8, 0),
+        ("z1", "U^5 U^-5", 6, 0),
+    ])
+    def test_mixed_words_are_realized_exactly(self, variant, word, N, value):
+        # a product of truncated factors loses columns out to its largest
+        # partial power, which the net bandwidth of the word does not cover
+        mod = canonical_odd(truncated_rep("0.3", N, variant))
+        res = odd_pairing(mod, word)
+        assert res.stable and res.value == value
+
+    def test_module_needs_a_fiber(self):
+        # a hand-built module with no fiber would pair to a stable 0
+        for build in (OddFredholmModule, canonical_odd):
+            with pytest.raises(InvalidInput):
+                build(truncated_rep("0.45", 8), 0)
+
+    def test_certified_pairing_builds_no_dense_generator(self, monkeypatch):
+        # the recheck really runs at N + 4, and neither the module's rep
+        # nor the rebuilt one builds dense U or V
+        built = []
+
+        def recording(theta, n, variant):
+            built.append(truncated_rep(theta, n, variant))
+            return built[-1]
+
+        monkeypatch.setattr(fredholm, "truncated_rep", recording)
+        base = truncated_rep(GOLDEN, 8, "z1prime")
+        res = odd_pairing(canonical_odd(base), "V^2")
+        assert res.stable and res.value == -2
+        assert [rep.N for rep in built] == [12]
+        for rep in (base, *built):
+            assert "U" not in vars(rep) and "V" not in vars(rep)
 
 
 class TestConjugationInvariance:
@@ -206,26 +233,31 @@ class TestConjugationInvariance:
 
     def test_odd_pairing_realizes_the_conjugated_generators(self, monkeypatch):
         # value invariance cannot tell an applied conjugation from an
-        # ignored one: look at the generators the word is realized from
+        # ignored one: look at the compression the kernels are counted on
         rng = np.random.default_rng(5)
         base = truncated_rep(GOLDEN, 6)
         phases = np.exp(2j * np.pi * rng.random(13))
         twice = np.exp(2j * np.pi * rng.random(13))
         seen = []
-        realize = GeneratorWord.realize
-        monkeypatch.setattr(GeneratorWord, "realize",
-                            lambda self, gens: seen.append(gens) or realize(self, gens))
+        count = fredholm._kernel_count
+        monkeypatch.setattr(fredholm, "_kernel_count",
+                            lambda a, tol: seen.append(a) or count(a, tol))
         mod = conjugate_module(canonical_odd(base), phases)
         odd_pairing(mod, "U", stability_check=False)
-        odd_pairing(conjugate_module(mod, twice), "V", stability_check=False)
-        for gens, d in zip(seen, (phases, phases * twice)):
-            for name in ("U", "V"):
-                g = getattr(base, name)
-                want = np.diag(d) @ g @ np.diag(d).conj()
-                assert np.abs(gens[name] - want).max() <= 1e-15
+        odd_pairing(conjugate_module(mod, twice), "U V", stability_check=False)
+        half = slice(6, 13)  # k >= 0
+        words = (((1, 0), phases), ((1, 1), phases * twice))  # U, then U V
+        for i, (key, d) in enumerate(words):
+            plain = TorusPolynomial.from_dict(base.theta, {key: 1}).realize_line(
+                base)
+            want = (np.diag(d) @ plain @ np.diag(d).conj())[half, half]
+            comp, adj = seen[2 * i], seen[2 * i + 1]
+            bulk = comp.shape[1]
+            assert np.abs(comp - want[:, :bulk]).max() <= 1e-15
+            assert np.abs(adj - want.conj().T[:, :bulk]).max() <= 1e-15
             # V is diagonal on z1 and commutes with the phases; the shift U
             # does not, so an ignored conjugation shows here
-            assert np.abs(gens["U"] - base.U).max() > 0.1
+            assert np.abs(comp - plain[half, half][:, :bulk]).max() > 0.1
 
     def test_even_values_survive_diagonal_conjugation(self):
         rng = np.random.default_rng(29)
@@ -236,6 +268,21 @@ class TestConjugationInvariance:
         conj = conjugate_module(mod, phases)
         e = (phases[:, None] * spec.matrix) * phases.conj()[None, :]
         assert even_pairing(conj, e).value == even_pairing(mod, spec.matrix).value
+
+    def test_hand_built_modules_check_their_phases(self):
+        # construction applies the checks of conjugate_module, so zero or
+        # non-unit phases never reach a pairing (a zero box conjugation
+        # used to pair to 0 with sigma_min 0.0)
+        line, box = truncated_rep("0.45", 8), dirac_data("0.45", 8)
+        for phases in (np.zeros(17), np.full(17, 0.5)):
+            with pytest.raises(NotUnitary):
+                OddFredholmModule(line, 1, phases)
+        with pytest.raises(NotUnitary):
+            BoxFredholmModule(box, phases=np.zeros(289))
+        with pytest.raises(InvalidInput):
+            OddFredholmModule(line, 1, np.ones(5))
+        with pytest.raises(InvalidInput):
+            BoxFredholmModule(box, phases=np.ones(17))
 
     def test_phase_vector_validation(self):
         mod = canonical_odd(truncated_rep(GOLDEN, 5))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -13,9 +14,10 @@ from ncg_torus.errors import (
     ThetaOutOfRange,
     UnsupportedForm,
 )
-from ncg_torus.fredholm import GeneratorWord, dirac_even_pairing, dirac_module
+from ncg_torus.fredholm import dirac_even_pairing, dirac_module
 from ncg_torus.torus_rep import (
     TorusPolynomial,
+    TruncatedZRep,
     _bump_pair,
     clock_shift,
     dirac_data,
@@ -34,6 +36,15 @@ def relation_defect(U, V, lam):
 def a00(poly):
     """The constant coefficient: the canonical trace of a polynomial."""
     return poly.as_dict().get((0, 0), 0j)
+
+
+def dense_products(poly, rep):
+    """sum c U^a V^b from the rep's dense truncated generators, with the
+    adjoint for negative powers."""
+    def power(g, k):
+        return np.linalg.matrix_power(g if k >= 0 else g.conj().T, abs(k))
+    return sum((c * power(rep.U, a) @ power(rep.V, b) for (a, b), c in poly.coeffs),
+               np.zeros((rep.dim, rep.dim), dtype=complex))
 
 
 class TestClockShift:
@@ -110,10 +121,19 @@ class TestTruncatedRep:
         assert np.allclose(rep.V, np.eye(9), atol=1e-15)
 
     def test_bad_variant_and_size(self):
-        with pytest.raises(InvalidInput):
-            truncated_rep(GOLDEN, 4, "z2")
-        with pytest.raises(InvalidInput):
-            truncated_rep(GOLDEN, 0)
+        # the rep is a value of (theta, N, variant), checked on every
+        # construction, replace included; its generators are derived, so
+        # no doctored U can be built into a rep
+        rep = TruncatedZRep(0.3, 8, "z1")
+        assert truncated_rep("0.3", 8) == rep
+        for bad in (lambda: truncated_rep(GOLDEN, 4, "z2"),
+                    lambda: truncated_rep(GOLDEN, 0),
+                    lambda: TruncatedZRep(0.3, 8, "z2"),
+                    lambda: dataclasses.replace(rep, N=0)):
+            with pytest.raises(InvalidInput):
+                bad()
+        with pytest.raises(TypeError):
+            dataclasses.replace(rep, U=0.5 * rep.U)
 
 
 class TestDiracData:
@@ -187,10 +207,7 @@ class TestTorusPolynomial:
              complex(rng.normal(), rng.normal()) for _ in range(5)}
         poly = TorusPolynomial.from_dict(rep.theta, d)
         via_formula = poly.realize_box(rep)
-        gens = {"U": rep.U, "V": rep.V}
-        via_products = sum(
-            c * GeneratorWord((("U", m), ("V", n))).realize(gens)
-            for (m, n), c in poly.coeffs)
+        via_products = dense_products(poly, rep)
         bulk = [rep.site_index(m, n)
                 for m in range(-1, 2) for n in range(-1, 2)]
         assert np.allclose(via_formula[:, bulk], via_products[:, bulk], atol=1e-12)
@@ -219,6 +236,33 @@ def test_box_realization_is_a_star_homomorphism_in_bulk(theta, N, x, y):
             for n in range(2 - N, N - 1)]
     prod = rx @ y.realize_box(rep)[:, bulk]
     assert np.abs((x * y).realize_box(rep)[:, bulk] - prod).max() <= 1e-12
+
+
+_line_polys = strategies.dictionaries(
+    strategies.tuples(strategies.integers(-2, 2), strategies.integers(-2, 2)),
+    strategies.complex_numbers(max_magnitude=2, allow_nan=False,
+                               allow_infinity=False),
+    max_size=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(theta=strategies.floats(0.01, 0.99), N=strategies.integers(3, 6),
+       variant=strategies.sampled_from(["z1", "z1prime"]),
+       x=_line_polys, y=_line_polys)
+def test_line_realization_is_a_star_homomorphism_in_bulk(theta, N, variant, x, y):
+    # on columns |k| <= N - 2 the image of y stays in the window, so the
+    # exact compression agrees with the dense truncated generators and
+    # with products of realizations
+    rep = TruncatedZRep(theta, N, variant)
+    x = TorusPolynomial.from_dict(theta, x)
+    y = TorusPolynomial.from_dict(theta, y)
+    rx = x.realize_line(rep)
+    bulk = slice(2, 2 * N - 1)
+    assert np.abs(rx[:, bulk] - dense_products(x, rep)[:, bulk]).max() <= 1e-12
+    adj = x.adjoint().realize_line(rep)
+    assert np.abs(adj[:, bulk] - rx.conj().T[:, bulk]).max() <= 1e-12
+    prod = rx @ y.realize_line(rep)[:, bulk]
+    assert np.abs((x * y).realize_line(rep)[:, bulk] - prod).max() <= 1e-12
 
 
 class TestBumpPair:
