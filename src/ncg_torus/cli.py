@@ -15,11 +15,12 @@ mathematical self-check.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -53,7 +54,19 @@ def render_json(obj) -> str:
 
 
 def _render(obj, out: list) -> None:
-    if obj is None:
+    # exact types first: they are nearly everything a report holds
+    kind = type(obj)
+    if kind is float:
+        out.append("%.17g" % obj)
+    elif kind is list or kind is tuple:
+        _render_items(obj, out)
+    elif kind is dict:
+        _render_dict(obj, out)
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is str:
+        out.append(_quote(obj))
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
@@ -62,35 +75,49 @@ def _render(obj, out: list) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append("%.17g" % float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(_quote(obj))
     elif isinstance(obj, Fraction):
-        out.append(json.dumps(str(obj)))
+        out.append(_quote(str(obj)))
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _render(item, out)
-        out.append("]")
+        _render_items(obj, out)
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _render(obj[key], out)
-        out.append("}")
+        _render_dict(obj, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render_items(obj, out: list) -> None:
+    for item in obj:
+        if type(item) is not float:
+            break
+    else:  # a flat run of floats, such as an [re, im] pair, in one join
+        out.append("[" + ",".join(["%.17g" % item for item in obj]) + "]")
+        return
+    out.append("[")
+    for i, item in enumerate(obj):
+        if i:
+            out.append(",")
+        _render(item, out)
+    out.append("]")
+
+
+def _render_dict(obj, out: list) -> None:
+    out.append("{")
+    for i, key in enumerate(sorted(obj)):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        if i:
+            out.append(",")
+        out.append(_quote(key))
+        out.append(":")
+        _render(obj[key], out)
+    out.append("}")
 
 
 def _matrix_dump(mat: np.ndarray) -> list:
     """Row-major [re, im] pairs."""
     m = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 # --- argument helpers --------------------------------------------------------------
@@ -255,7 +282,7 @@ def cmd_rep_dump(args) -> dict:
     rep = dirac_data(theta, args.N)
     return {"rep": "dirac", "dim": rep.dim, "theta": theta, "N": rep.N,
             "U": _matrix_dump(rep.U), "V": _matrix_dump(rep.V),
-            "F0_diag": [[float(z.real), float(z.imag)] for z in rep.F0_diag]}
+            "F0_diag": _matrix_dump(rep.F0_diag)}
 
 
 # --- driver -----------------------------------------------------------------------
@@ -312,8 +339,28 @@ _DISPATCH = {
 }
 
 
+#: the parser ``main`` reuses; built on the first call, not at import
+_parser: argparse.ArgumentParser | None = None
+
+
+def _join_negative_theta(argv: list) -> list:
+    """``--theta -3/7`` as ``--theta=-3/7``: argparse takes a separate
+    token that starts with "-" for an option unless it is a plain number."""
+    out: list = []
+    for tok in argv:
+        if out and out[-1] == "--theta" and re.match(r"-[0-9.]", tok):
+            out[-1] = "--theta=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(
+        _join_negative_theta(sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     try:
         report = _DISPATCH[args.command](args)

@@ -45,6 +45,7 @@ from .torus_rep import (
     TorusPolynomial,
     TruncatedZ2Rep,
     TruncatedZRep,
+    _op_norm,
     dirac_data,
     rieffel_polynomial,
     truncated_rep,
@@ -82,7 +83,9 @@ class PairingResult:
     details: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return dataclasses.asdict(self)
+        # every field and every value in details is a scalar, so shallow
+        # copies make the deep copy dataclasses.asdict would
+        return dict(vars(self), details=dict(self.details))
 
 
 # --- modules --------------------------------------------------------------------
@@ -147,7 +150,7 @@ def canonical_even(phi: dict) -> EvenFredholmModule:
     for name, g in mats.items():
         if g.shape != (d, d):
             raise InvalidInput("generator matrices must be square of equal size")
-        if np.linalg.norm(g.conj().T @ g - np.eye(d), 2) > UNITARY_TOL:
+        if _op_norm(g.conj().T @ g - np.eye(d)) > UNITARY_TOL:
             raise NotUnitary(f"phi({name}) is not unitary")
     return EvenFredholmModule(d)
 
@@ -166,10 +169,10 @@ def even_pairing(module: EvenFredholmModule, e: np.ndarray) -> PairingResult:
     if e.shape[0] % module.fiber_dim != 0:
         raise InvalidInput(
             f"size {e.shape[0]} is not a multiple of the fiber dim {module.fiber_dim}")
-    adj = float(np.linalg.norm(e - e.conj().T, 2))
+    adj = _op_norm(e - e.conj().T)
     if adj > ADJOINT_TOL:
         raise NotAProjection(f"adjoint defect {adj:.2e} above {ADJOINT_TOL}")
-    idem = float(np.linalg.norm(e @ e - e, 2))
+    idem = _op_norm(e @ e - e)
     if idem > PROJECTION_TOL:
         raise NotAProjection(f"idempotency defect {idem:.2e} above {PROJECTION_TOL}")
     raw = float(np.trace(e).real)
@@ -237,12 +240,18 @@ def odd_pairing(module: OddFredholmModule, u: str,
     base = module.base
     word = _parse_word(u, base.theta)
     [(a, b)] = word.as_dict()
-    bw = abs(a) if base.variant == "z1" else abs(b)
+    shift, diag = (a, b) if base.variant == "z1" else (b, a)
+    bw = abs(shift)
     margin = max(bw, 1)
     N = base.N
     if N < margin + 2:
         raise RepresentationTooSmall(
             f"N = {N} leaves no bulk for a word of bandwidth {bw}")
+    # realize_line takes the diagonal phase exponents, at most
+    # |diag| (N + bw), in int64
+    if abs(diag) * (N + bw) >= 2**63:
+        raise InvalidInput(
+            f"power {diag} at N = {N} overflows a 64-bit phase exponent")
     w = word.realize_line(base)
     if module.phases is not None:
         w = _conjugated(module.phases, w)

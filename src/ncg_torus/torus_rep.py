@@ -52,7 +52,9 @@ def theta_to_float(theta: ThetaLike) -> float:
 
 
 def _op_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    """Largest singular value of a 2-D array: the LAPACK call and value of
+    ``np.linalg.norm(a, 2)`` without its axis handling."""
+    return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
 
 
 # --- representations ---------------------------------------------------------

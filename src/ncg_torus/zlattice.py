@@ -8,7 +8,6 @@ and sublattice equality is decided through canonical Hermite normal forms
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -248,7 +247,7 @@ class ExactnessReport:
     witness: Optional[str] = None
 
     def to_json_obj(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(vars(self))  # all fields are scalars
 
 
 def _name_combo(vec: Vector, names: tuple[str, ...]) -> str:

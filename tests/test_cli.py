@@ -1,13 +1,18 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncg_torus import zlattice
+from ncg_torus import cli, zlattice
 from ncg_torus.cli import main, render_json
 
 
@@ -31,6 +36,64 @@ class TestJsonWriter:
             render_json({"x": object()})
         with pytest.raises(TypeError):
             render_json({1: "non-string key"})
+
+
+def _oracle_render(obj, out: list) -> None:
+    """The writer as it was before the exact-type dispatch, kept as the
+    reference for ``render_json``'s bytes."""
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append("%.17g" % float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, Fraction):
+        out.append(json.dumps(str(obj)))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _oracle_render(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(":")
+            _oracle_render(obj[key], out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                5e-324, -2.2250738585072009e-308, 1e308])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+_SCALARS = st.one_of(
+    _FLOATS, st.none(), st.booleans(), st.integers(), st.text(max_size=5),
+    st.fractions(), _FLOATS.map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64))
+_REPORTS = st.recursive(_SCALARS, lambda kids: st.one_of(
+    st.lists(_FLOATS), st.lists(_FLOATS).map(tuple), st.lists(kids),
+    st.lists(kids).map(tuple), st.dictionaries(st.text(max_size=5), kids)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(obj=_REPORTS)
+def test_render_json_matches_the_recursive_writer(obj):
+    pieces: list = []
+    _oracle_render(obj, pieces)
+    assert render_json(obj) == "".join(pieces)
 
 
 class TestCfCommand:
@@ -139,6 +202,17 @@ class TestPairCommand:
                                  klass, "--power", "3", "--N", "3", "--theta", "2/7")
         assert code == 2 and out == ""
         assert "--power" in err
+
+    def test_power_past_64_bits_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "pair", "--module", "z1", "--class", "V",
+                                 f"--power={10**30}", "--N", "8")
+        assert (code, out) == (2, "")
+        assert "64-bit" in err
+
+    def test_large_diagonal_power_pairs_to_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "pair", "--module", "z1", "--class", "V",
+                               f"--power={2**40}", "--N", "8")
+        assert code == 0 and json.loads(out)["result"]["value"] == 0
 
     def test_power_past_the_window_leaves_no_bulk(self, capsys):
         # U^33 on |k| <= 16 used to realize to the zero matrix
@@ -344,7 +418,7 @@ PINNED_STDOUT = [
      "afa9be249e1a1c91614373203bef77584b9e7fbd53a81d1c51ecc6fbc9d89bcb"),
     (("rep-dump", "--rep", "dirac", "--theta", "0.3", "--N", "2"), 0,
      "bbde3b63722ff412c63a9bafd9c8c3ea1cb9b9fcfe07f9af9496442a8fbadf6b"),
-    # a negative fraction needs "=": argparse reads "-3/7" as a flag
+    # "=" keeps the test id apart from the separate-value call below
     (("rep-dump", "--rep", "clock", "--theta=-3/7"), 0,
      "5404d0e027454a55fab814650e7ae002ec22c847f270728738f67b6302cb755f"),
     (("pair", "--module", "z1prime", "--class", "V", "--power", "-3", "--N", "12"),
@@ -360,7 +434,15 @@ PINNED_STDOUT = [
      0, "0cde16c5315bf6d5ceed8f911e52d20af251ded7eec9ec16faff71470d283ee2"),
     (("pair", "--N", "6", "--module", "z1", "--class", "V", "--power", "0"), 0,
      "e5482c4897da4912c579205038a47542d9d8a8478363de4c306820f57ddcfed8"),
+    # the idempotency and adjoint defects are SVD norms of BLAS products, so
+    # this one pins the operator-norm rule on this numpy/OpenBLAS build
+    (("pair", "--module", "z0prime", "--class", "p", "--theta", "7/25"), 0,
+     "174857d01b306377d83659c511091a2a7751a8f0688fbcbeaf858e01cb7fa7db"),
+    (("rep-dump", "--rep", "z1prime", "--theta", "golden", "--N", "3"), 0,
+     "389a2948ab179040810a3d1949a593fddfdadbb4a5e108725255f7b2e5d91610"),
 ]
+
+PINNED = {argv: (code, digest) for argv, code, digest in PINNED_STDOUT}
 
 
 @pytest.mark.parametrize("argv,exit_code,digest", PINNED_STDOUT,
@@ -370,3 +452,43 @@ def test_stdout_bytes_are_pinned(capsys, monkeypatch, argv, exit_code, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _assert_pinned(capsys, argv, *, as_argv=None):
+    code, out, _ = run_cli(capsys, *(as_argv or argv))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED[argv]
+
+
+def test_negative_theta_as_a_separate_value(capsys, monkeypatch):
+    monkeypatch.delenv("NCG_TORUS_PRECISION", raising=False)
+    _assert_pinned(capsys, ("rep-dump", "--rep", "clock", "--theta=-3/7"),
+                   as_argv=("rep-dump", "--rep", "clock", "--theta", "-3/7"))
+
+
+def test_theta_followed_by_a_flag_still_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pair", "--module", "z1", "--class", "U", "--theta", "--N", "4"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("NCG_TORUS_PRECISION", raising=False)
+    # --perturb appends to a list: the next call must start without it
+    _assert_pinned(capsys, ("sequence", "--which", "khomology", "--perturb", "d0=1,1"))
+    _assert_pinned(capsys, ("sequence", "--which=khomology"))
+    with pytest.raises(SystemExit) as exc:
+        main(["pair", "--module", "nosuch", "--class", "U"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    _assert_pinned(capsys, ("cf", "--theta", "15/11", "--depth", "10"))
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    for _ in range(3):
+        _assert_pinned(capsys, ("cf", "--theta", "15/11", "--depth", "10"))
+    assert len(built) == 1
