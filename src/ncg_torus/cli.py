@@ -54,7 +54,8 @@ def render_json(obj) -> str:
 
 
 def _render(obj, out: list) -> None:
-    # exact types first: they are nearly everything a report holds
+    # the exact builtin types a report holds, then the few other scalars;
+    # subclasses of the builtins are not written
     kind = type(obj)
     if kind is float:
         out.append("%.17g" % obj)
@@ -68,20 +69,14 @@ def _render(obj, out: list) -> None:
         out.append(_quote(obj))
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
+    elif kind is bool:
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, np.integer):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, np.floating):
         out.append("%.17g" % float(obj))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
     elif isinstance(obj, Fraction):
         out.append(_quote(str(obj)))
-    elif isinstance(obj, (list, tuple)):
-        _render_items(obj, out)
-    elif isinstance(obj, dict):
-        _render_dict(obj, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -161,50 +156,42 @@ def cmd_cf(args) -> dict:
     }
 
 
-def _pair_even_trivial(klass: str) -> dict:
-    mod = canonical_even({"U": np.eye(1), "V": np.eye(1)})
-    e = np.eye(1) if klass == "1" else np.zeros((1, 1))
-    res = even_pairing(mod, e)
-    return res.to_json_obj()
-
-
-def _pair_even_clock(rep: ClockShiftRep, klass: str) -> dict:
-    mod = canonical_even({"U": rep.U, "V": rep.V})
-    if klass == "1":
-        e = np.eye(rep.q)
-    else:
-        e = rieffel_projection(rep.theta, rep).matrix
-    return even_pairing(mod, e).to_json_obj()
+#: the classes each module pairs with, in ``--module``'s order
+_CLASSES = {"z0": ("1", "p"), "z0prime": ("1", "p"), "z1": ("U", "V"),
+            "z1prime": ("U", "V"), "dirac": ("1", "p")}
 
 
 def cmd_pair(args) -> dict:
     theta = _theta_text(args.theta)
     parse_theta(theta)  # z0 reads no angle, but junk is rejected everywhere
-    klass = args.klass
-    if args.power != 1 and args.module not in ("z1", "z1prime"):
-        raise InvalidInput(f"module {args.module} takes no --power")
-    if args.module in ("z0", "z0prime"):
-        if klass not in ("1", "p"):
-            raise InvalidInput(f"module {args.module} pairs with classes 1 and p")
-        if args.module == "z0":
-            body = _pair_even_trivial(klass)
-        else:
-            body = _pair_even_clock(_clock_rep(args.theta), klass)
-    elif args.module in ("z1", "z1prime"):
-        if klass not in ("U", "V"):
-            raise InvalidInput(f"module {args.module} pairs with classes U and V")
-        mod = canonical_odd(truncated_rep(theta, args.N, args.module))
-        body = odd_pairing(mod, f"{klass}^{args.power}",
-                           stability_check=not args.no_stability).to_json_obj()
+    module, klass = args.module, args.klass
+    classes = _CLASSES[module]
+    odd = classes == ("U", "V")
+    if args.power != 1 and not odd:
+        raise InvalidInput(f"module {module} takes no --power")
+    if klass not in classes:
+        raise InvalidInput(
+            f"module {module} pairs with classes {' and '.join(classes)}")
+    if odd:
+        mod = canonical_odd(truncated_rep(theta, args.N, module))
+        res = odd_pairing(mod, f"{klass}^{args.power}",
+                          stability_check=not args.no_stability)
+    elif module == "dirac":
+        res = dirac_even_pairing(dirac_module(theta, args.N),
+                                 "one" if klass == "1" else "trace-theta",
+                                 stability_check=not args.no_stability)
     else:
-        if klass not in ("1", "p"):
-            raise InvalidInput("module dirac pairs with classes 1 and p")
-        mod = dirac_module(theta, args.N)
-        token = "one" if klass == "1" else "trace-theta"
-        body = dirac_even_pairing(
-            mod, token, stability_check=not args.no_stability).to_json_obj()
-    return {"module": args.module, "class": klass, "theta": theta,
-            "result": body}
+        # z0 is the clock module at q = 1, where the class p is zero
+        rep = clock_shift(0, 1) if module == "z0" else _clock_rep(args.theta)
+        if klass == "1":
+            e = np.eye(rep.q)
+        elif module == "z0":
+            e = np.zeros((1, 1))
+        else:
+            e = rieffel_projection(rep.theta, rep).matrix
+        res = even_pairing(canonical_even({"U": rep.U, "V": rep.V}), e)
+    return {"module": module, "class": klass, "theta": theta,
+            "result": res.to_json_obj()}
 
 
 def _parse_perturbation(spec: str, seq: zlattice.CyclicSequence):
@@ -300,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("pair", help="pair a module with a K-theory class")
     c.add_argument("--module", required=True,
-                   choices=["z0", "z0prime", "z1", "z1prime", "dirac"])
+                   choices=list(_CLASSES))
     c.add_argument("--class", dest="klass", required=True,
                    help="1, p, U or V depending on the module")
     c.add_argument("--theta", default="golden")

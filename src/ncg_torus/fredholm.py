@@ -240,18 +240,13 @@ def odd_pairing(module: OddFredholmModule, u: str,
     base = module.base
     word = _parse_word(u, base.theta)
     [(a, b)] = word.as_dict()
-    shift, diag = (a, b) if base.variant == "z1" else (b, a)
+    shift = a if base.variant == "z1" else b
     bw = abs(shift)
     margin = max(bw, 1)
     N = base.N
     if N < margin + 2:
         raise RepresentationTooSmall(
             f"N = {N} leaves no bulk for a word of bandwidth {bw}")
-    # realize_line takes the diagonal phase exponents, at most
-    # |diag| (N + bw), in int64
-    if abs(diag) * (N + bw) >= 2**63:
-        raise InvalidInput(
-            f"power {diag} at N = {N} overflows a 64-bit phase exponent")
     w = word.realize_line(base)
     if module.phases is not None:
         w = _conjugated(module.phases, w)
@@ -364,6 +359,11 @@ def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
             ker += 1
         if interior_mass(wmat @ us[:, i]) >= INTERIOR_MASS_THRESHOLD:
             coker += 1
+    if ker and coker:
+        # the classification takes one side of each near-kernel pair for
+        # bulk and the other for edge; bulk on both sides breaks that
+        raise UnstableIndex(f"the box pass at N = {N} counts bulk modes on both "
+                            f"sides (kernel {ker}, cokernel {coker})")
     out = {
         "value": ker - coker, "kernel": ker, "cokernel": coker,
         "rank": wmat.shape[1],

@@ -275,17 +275,17 @@ class TorusPolynomial:
         """Exact compression of the polynomial to the line basis e_k,
         |k| <= N: on z1 U^a V^b e_k = lambda^(bk) e_{k+a}, on z1prime
         U^a V^b e_k = lambda^(-a(k+b)) e_{k+b}; only images outside the
-        window are dropped."""
-        lam = cmath.exp(2j * math.pi * rep.theta)
+        window are dropped.  Each term's lambda^b (z1) or lambda^(-a)
+        (z1prime) is taken once, with theta times that power reduced mod 1
+        exactly, so the phases keep unit modulus at any power."""
+        num, den = rep.theta.as_integer_ratio()
         out = np.zeros((rep.dim, rep.dim), dtype=complex)
         ks = np.arange(-rep.N, rep.N + 1)
         for (a, b), c in self.coeffs:
-            if rep.variant == "z1":
-                step, vals = a, c * lam ** (b * ks)
-            else:
-                step, vals = b, c * lam ** (-a * (ks + b))
-            kept = np.abs(ks + step) <= rep.N
-            out[ks[kept] + step + rep.N, ks[kept] + rep.N] += vals[kept]
+            step, power, offset = (a, b, 0) if rep.variant == "z1" else (b, -a, b)
+            kept = ks[np.abs(ks + step) <= rep.N]
+            mu = cmath.exp(2j * math.pi * (num * power % den / den))
+            out[kept + step + rep.N, kept + rep.N] += c * mu ** (kept + offset)
         return out
 
 

@@ -195,6 +195,21 @@ class TestPairCommand:
         code, _, _ = run_cli(capsys, "pair", "--module", "z1", "--class", "p")
         assert code == 2
 
+    @pytest.mark.parametrize("module", ["z0", "z0prime", "z1", "z1prime", "dirac"])
+    @pytest.mark.parametrize("klass", ["1", "p", "U", "V"])
+    def test_pairing_table(self, capsys, module, klass):
+        code, out, err = run_cli(capsys, "pair", "--module", module, "--class",
+                                 klass, "--N", "3", "--theta", "2/7")
+        # exit 2 exactly off the table; a pairing on it may still be refused
+        # as unstable (exit 3), which is not this test's business
+        odd = module in ("z1", "z1prime")
+        valid = (klass in ("U", "V")) == odd
+        assert (code == 2) != valid
+        if not valid:
+            pair = "U and V" if odd else "1 and p"
+            assert out == ""
+            assert f"module {module} pairs with classes {pair}" in err
+
     @pytest.mark.parametrize("module,klass", [("z0", "1"), ("z0prime", "p"),
                                               ("dirac", "1")])
     def test_even_module_refuses_a_power(self, capsys, module, klass):
@@ -203,11 +218,18 @@ class TestPairCommand:
         assert code == 2 and out == ""
         assert "--power" in err
 
-    def test_power_past_64_bits_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "pair", "--module", "z1", "--class", "V",
-                                 f"--power={10**30}", "--N", "8")
-        assert (code, out) == (2, "")
-        assert "64-bit" in err
+    @pytest.mark.parametrize("module,klass", [("z1", "V"), ("z1prime", "U")])
+    @pytest.mark.parametrize("power", [10**17, 10**18, 10**30])
+    def test_diagonal_power_past_64_bits_pairs_to_zero(self, capsys, module,
+                                                       klass, power):
+        # the diagonal phases keep unit modulus at any power, so no mode of
+        # either side is near the kernel
+        code, out, _ = run_cli(capsys, "pair", "--module", module, "--class",
+                               klass, f"--power={power}", "--N", "8")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["value"] == 0
+        assert result["details"]["kernel"] == result["details"]["cokernel"] == 0
 
     def test_large_diagonal_power_pairs_to_zero(self, capsys):
         code, out, _ = run_cli(capsys, "pair", "--module", "z1", "--class", "V",
@@ -246,6 +268,16 @@ class TestPairCommand:
         assert code == 3
         assert out == ""
         assert "1/2" in err
+
+    @pytest.mark.parametrize("theta", ["0.1", "0.9"])
+    def test_dirac_bulk_modes_on_both_sides_exit_3(self, capsys, theta):
+        # the pass at N = 12 resolves no mode; the recheck at N = 16 finds one
+        # near-kernel pair with bulk mass on both sides, which used to give
+        # a certified 0 where the class pairs to -1
+        code, out, err = run_cli(capsys, "pair", "--module", "dirac",
+                                 "--class", "p", "--theta", theta, "--N", "12")
+        assert (code, out) == (3, "")
+        assert "both sides" in err
 
     @pytest.mark.parametrize("argv,exit_code", [
         (("--theta", "0", "--N", "4"), 2),
@@ -440,6 +472,14 @@ PINNED_STDOUT = [
      "174857d01b306377d83659c511091a2a7751a8f0688fbcbeaf858e01cb7fa7db"),
     (("rep-dump", "--rep", "z1prime", "--theta", "golden", "--N", "3"), 0,
      "389a2948ab179040810a3d1949a593fddfdadbb4a5e108725255f7b2e5d91610"),
+    # one call per even route, each printing exact floats only; --theta goes
+    # first on the z0prime call so that its test id differs from the one above
+    (("pair", "--module", "z0", "--class", "p", "--theta", "1/3"), 0,
+     "9f1f639f848f3db9452600beaa6bdfca53ef3a4f93a30ab21c0f3aed9d0e8753"),
+    (("pair", "--theta", "2/5", "--module", "z0prime", "--class", "1"), 0,
+     "1cf05f8c817052b110ada2047d7bc79c9f34d77c0f3e46e0c109eca2f4d0f5f1"),
+    (("pair", "--module", "dirac", "--class", "1", "--N", "3", "--theta", "0.3"), 0,
+     "7136878e75b646c51574b83b819a12f4656d634db071abf309565ec30f5e716a"),
 ]
 
 PINNED = {argv: (code, digest) for argv, code, digest in PINNED_STDOUT}

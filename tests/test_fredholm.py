@@ -320,6 +320,14 @@ class TestDiracPairing:
             dirac_even_pairing(dirac_module("1/2", 12), "trace-theta",
                                stability_check=False)
 
+    def test_bulk_modes_on_both_sides_are_unstable(self):
+        # at theta = 0.1, N = 16 one near-kernel pair has at least half its
+        # mass in the bulk on both sides: the kernel and cokernel counts
+        # cancel to a 0 where the class pairs to -1
+        with pytest.raises(UnstableIndex, match="both sides"):
+            dirac_even_pairing(dirac_module("0.1", 16), "trace-theta",
+                               stability_check=False)
+
     def test_box_cutoff_too_large(self):
         # the K rule gives K = 0 at N = 1: no room for the build
         with pytest.raises(RepresentationTooSmall):
