@@ -36,7 +36,8 @@ from .fredholm import (
     even_pairing,
     odd_pairing,
 )
-from .torus_rep import ClockShiftRep, clock_shift, dirac_data, rieffel_projection, truncated_rep
+from .torus_rep import (ClockShiftRep, _refuse_beyond_memory, clock_shift, dirac_data,
+                        rieffel_projection, truncated_rep)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -112,6 +113,8 @@ def _render_dict(obj, out: list) -> None:
 def _matrix_dump(mat: np.ndarray) -> list:
     """Row-major [re, im] pairs."""
     m = np.asarray(mat, dtype=complex)
+    # the U and V lists and their JSON peak at 500 bytes an entry (ru_maxrss)
+    _refuse_beyond_memory(512 * m.size, f"a dump of {m.size} matrix entries")
     return np.stack([m.real, m.imag], -1).tolist()
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI:
-  2 -- input / precision problems (InputError subtree)
+  2 -- input / precision problems, oversized requests (InputError subtree)
   3 -- numerical instability (InstabilityError subtree)
   4 -- a mathematical consistency check failed (MathCheckError subtree)
 """
@@ -25,6 +25,10 @@ class PrecisionExhausted(InputError):
 
 class InsufficientDigits(InputError):
     """A continued-fraction expansion is too short for the requested depth."""
+
+
+class ExceedsMemory(InputError):
+    """A dense build's estimated peak memory exceeds physical memory."""
 
 
 class NotCoprime(InvalidInput):

@@ -6,7 +6,7 @@ Three computation routes, all returning integers:
   trace of its realization ("trace-formula" method);
 * ``odd_pairing``: hard-cutoff compression E u E of a unitary monomial
   against the half-line projection E = [k >= 0], kernel dimensions counted
-  on columns that stay away from the truncation edge ("kernel-index");
+  exactly from the exponents on columns away from the edge ("kernel-index");
 * ``dirac_even_pairing``: the two-index box module; the projection is
   polished spectrally, the phase operator is compressed to its range and
   near-kernel vectors are classified by interior mass ("compressed-index").
@@ -42,16 +42,17 @@ from .errors import (
 )
 from .torus_rep import (
     ThetaLike,
-    TorusPolynomial,
     TruncatedZ2Rep,
     TruncatedZRep,
     _op_norm,
+    _refuse_beyond_memory,
     dirac_data,
     rieffel_polynomial,
     truncated_rep,
 )
 
-#: singular values below this count as kernel modes in the odd route
+#: the odd route's reported rank tolerance; its compressions have singular
+#: values exactly 0 or 1, so its exact counts are the numbers below this
 ODD_RANK_TOL = 1e-8
 #: singular values below this count as kernel modes in the box route
 #: (the observed vortex mode sits at <= 2e-2 for N >= 12 while the next
@@ -203,43 +204,41 @@ def _recheck(module, value: int, details: dict,
     details["N_recheck"] = N + 4
 
 
-def _kernel_count(a: np.ndarray, tol: float) -> int:
-    s = np.linalg.svd(a, compute_uv=False)
-    # columns <= rows here, so every kernel vector shows up as a small sigma
-    return int(np.count_nonzero(s < tol))
-
-
-def _parse_word(text: str, theta: float) -> TorusPolynomial:
-    """The monomial of compact syntax like "U", "U^-2", "U V^-1"."""
-    word = TorusPolynomial.from_dict(theta, {(0, 0): 1})
+def _parse_word(text: str) -> tuple[int, int]:
+    """The exponents (a, b) of the monomial of compact syntax like "U",
+    "U^-2", "U V^-1"; the order of the letters only changes a unit phase."""
+    a = b = 0
     for tok in text.split():
         name, hat, p = tok.partition("^")
         try:
             power = int(p) if hat else 1
         except ValueError:
             raise InvalidInput(f"bad power in {tok!r}") from None
-        if name not in ("U", "V"):
+        if name == "U":
+            a += power
+        elif name == "V":
+            b += power
+        else:
             raise InvalidInput(f"unknown generator {name!r}")
-        key = (power, 0) if name == "U" else (0, power)
-        word = word * TorusPolynomial.from_dict(theta, {key: 1})
     if not text.split():
         raise InvalidInput("empty generator word")
-    return word
+    return a, b
 
 
 def odd_pairing(module: OddFredholmModule, u: str,
                 stability_check: bool = True) -> PairingResult:
     """Index of E u E with E = [k >= 0], domain restricted to the bulk.
 
-    The word is a monomial c U^a V^b, compressed exactly to the window;
-    its bandwidth is the shift generator's exponent.  Kernel dimensions of
-    the compression and its adjoint are counted on columns at least
-    max(bandwidth, 1) sites from the cutoff.  The word acts alike on every
-    fiber copy, so its counts are multiplied by the fiber dimension.
+    The word c U^a V^b (|c| = 1) sends e_k to a unit multiple of e_{k+s},
+    s = a on z1 and b on z1prime, or to 0 past the window.  On the bulk,
+    columns 0 <= k <= N - max(|s|, 1), k + s never passes N, so singular
+    values are exactly 0 or 1: the kernel counts bulk columns with
+    k + s < 0, the cokernel bulk rows with j - s < 0.  Unit phases from a
+    diagonal conjugation keep that pattern, and each fiber copy counts
+    alike.
     """
     base = module.base
-    word = _parse_word(u, base.theta)
-    [(a, b)] = word.as_dict()
+    a, b = _parse_word(u)
     shift = a if base.variant == "z1" else b
     bw = abs(shift)
     margin = max(bw, 1)
@@ -247,14 +246,9 @@ def odd_pairing(module: OddFredholmModule, u: str,
     if N < margin + 2:
         raise RepresentationTooSmall(
             f"N = {N} leaves no bulk for a word of bandwidth {bw}")
-    w = word.realize_line(base)
-    if module.phases is not None:
-        w = _conjugated(module.phases, w)
-    half = slice(N, 2 * N + 1)  # rows and columns with k >= 0
-    bulk = N - margin + 1       # columns 0 <= k <= N - margin
-    comp = w[half, half]
-    ker = module.fiber_dim * _kernel_count(comp[:, :bulk], ODD_RANK_TOL)
-    coker = module.fiber_dim * _kernel_count(comp.conj().T[:, :bulk], ODD_RANK_TOL)
+    bulk = N - margin + 1  # columns 0 <= k <= N - margin
+    ker = module.fiber_dim * min(max(-shift, 0), bulk)
+    coker = module.fiber_dim * min(max(shift, 0), bulk)
     value = ker - coker
     details = {"kernel": ker, "cokernel": coker, "bandwidth": bw}
     if stability_check:
@@ -313,6 +307,8 @@ def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
     key = (rep.theta, N)
     if phases is None and key in _dirac_cache:
         return _dirac_cache[key]
+    # a pass peaks at 61-71 bytes per box matrix entry (ru_maxrss, N <= 24)
+    _refuse_beyond_memory(72 * rep.dim**2, f"a box pass at N = {N}")
     # tail quality wants K large, the exactness margin wants 2K <= N,
     # which this rule keeps at every N
     K = min(max(6, N // 3), N // 2)
@@ -328,7 +324,8 @@ def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
     build_defect = math.sqrt(sum(abs(v) ** 2 for _, v in resid.coeffs))
     # the real polish is exact only for a mirror-symmetric polynomial
     c = poly.as_dict()
-    mirror = max(abs(c.get((-a, b), 0) - v.conjugate()) for (a, b), v in c.items())
+    mirror = max((abs(c.get((-a, b), 0) - v.conjugate()) for (a, b), v in c.items()),
+                 default=0.0)
     if mirror > ADJOINT_TOL:
         raise NotAProjection(f"mirror defect {mirror:.2e} above {ADJOINT_TOL}")
     w, wmat = _mirror_polish(poly.realize_box(rep), N)
@@ -342,6 +339,10 @@ def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
         # falls on, and with it the rank of the compression
         raise UnstableIndex(
             f"an eigenvalue of the box projection lies {gap:.1e} from 1/2")
+    rank = wmat.shape[1]
+    if rank in (0, rep.dim):  # the compression is then 0 or the phase itself
+        raise UnstableIndex(f"the box projection at N = {N} has rank {rank} "
+                            f"of {rep.dim}, so its compression decides nothing")
     t = wmat.conj().T @ (rep.F0_diag[:, None] * wmat)
     us, s, vh = np.linalg.svd(t)
     small = np.nonzero(s < DIRAC_RANK_TOL)[0]
@@ -366,7 +367,7 @@ def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
                             f"sides (kernel {ker}, cokernel {coker})")
     out = {
         "value": ker - coker, "kernel": ker, "cokernel": coker,
-        "rank": wmat.shape[1],
+        "rank": rank,
         "sigma_min": float(s[-1]) if s.size else None,
         "sigma_next": float(s[-2]) if s.size > 1 else None,
         "gap_half": gap,
@@ -412,11 +413,6 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
 
 # --- conjugation ---------------------------------------------------------------
 
-def _conjugated(d: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """diag(d) m diag(d)^*."""
-    return (d[:, None] * m) * d.conj()[None, :]
-
-
 def _unit_phases(phases: Sequence[complex], size: int) -> np.ndarray:
     """A checked conjugation: one unit-modulus phase per basis vector."""
     ph = np.asarray(phases, dtype=complex)
@@ -432,7 +428,7 @@ def conjugate_module(module, phases: Sequence[complex]):
 
     The half-line projection and the phase symmetry are diagonal, so they
     commute with the conjugation; every pairing is left exactly invariant.
-    Odd and box modules record the phases, which the pairing applies.  The
+    Odd and box modules record the phases; the odd count cannot see them.  The
     canonical even module is returned unchanged once the phases pass their
     checks: its pairing is the trace, which conjugation leaves exactly
     invariant.  The phases have no counterpart at a larger truncation, so

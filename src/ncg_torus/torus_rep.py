@@ -13,15 +13,16 @@ Conventions, used consistently across the package:
   phase F0 e_{m,n} = (m+in)/sqrt(m^2+n^2) e_{m,n}, F0 e_{0,0} = e_{0,0}.
 
 Shift generators are truncated (the outgoing boundary column is zero).  The
-index routes never multiply truncated generators: ``realize_box`` and
-``realize_line`` compress a polynomial exactly to the window, so interior
-columns carry no truncation error.
+index routes never multiply truncated generators: ``realize_box`` compresses
+a polynomial exactly to the box, and the odd route counts the exact
+compression of its monomial from the exponents, so no truncation error enters.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +31,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (
+    ExceedsMemory,
     InvalidInput,
     NotCoprime,
     RepresentationTooSmall,
@@ -55,6 +57,18 @@ def _op_norm(a: np.ndarray) -> float:
     """Largest singular value of a 2-D array: the LAPACK call and value of
     ``np.linalg.norm(a, 2)`` without its axis handling."""
     return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _refuse_beyond_memory(nbytes: int, what: str) -> None:
+    """Raise ExceedsMemory before a dense build estimated past physical memory."""
+    ceiling = _physical_memory()
+    if nbytes > ceiling:
+        raise ExceedsMemory(f"{what} needs about {nbytes / 2**30:.3g} GiB, more "
+                            f"than the {ceiling / 2**30:.3g} GiB of physical memory")
 
 
 # --- representations ---------------------------------------------------------
@@ -87,11 +101,11 @@ def clock_shift(m: int, q: int) -> ClockShiftRep:
         raise InvalidInput("q must be positive")
     if math.gcd(m, q) != 1:
         raise NotCoprime(f"gcd({m}, {q}) != 1")
-    u = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        u[(j + 1) % q, j] = 1.0
+    _refuse_beyond_memory(32 * q * q, f"the clock rep at q = {q}")
+    u = np.eye(q, k=-1, dtype=complex)  # e_j -> e_{j+1 mod q}
+    u[0, q - 1] = 1.0
     lam = cmath.exp(2j * math.pi * m / q)
-    v = np.diag([lam**j for j in range(q)]).astype(complex)
+    v = np.diag([lam**j for j in range(q)])
     return ClockShiftRep(m, q, u, v)
 
 
@@ -130,11 +144,11 @@ class TruncatedZRep:
     def _dense(self, shifts_on: str, sign: int) -> np.ndarray:
         """The shift e_k -> e_{k+1}, e_N -> 0 on the variant that shifts
         with this generator, else the clock e_k -> lambda^(sign k) e_k."""
+        _refuse_beyond_memory(16 * self.dim**2, f"a line generator at N = {self.N}")
         if self.variant == shifts_on:
             return np.eye(self.dim, k=-1, dtype=complex)
         lam = cmath.exp(2j * math.pi * self.theta)
-        return np.diag([lam**(sign * k) for k in range(-self.N, self.N + 1)]
-                       ).astype(complex)
+        return np.diag([lam**(sign * k) for k in range(-self.N, self.N + 1)])
 
     def interior_defect(self) -> float:
         """Commutation defect of VU - lambda UV on columns |k| <= N-1."""
@@ -184,6 +198,7 @@ class TruncatedZ2Rep:
     def _shift(self, dm: int, dn: int) -> np.ndarray:
         """e_{m,n} -> lambda^(m dn) e_{m+dm,n+dn}, outgoing columns zero."""
         N = self.N
+        _refuse_beyond_memory(16 * self.dim**2, f"a box generator at N = {N}")
         lam = cmath.exp(2j * math.pi * self.theta)
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for m in range(-N, N + 1 - dm):
@@ -271,23 +286,6 @@ class TorusPolynomial:
             out[rows, cols] += np.broadcast_to(vals[:, None], rows.shape)
         return out
 
-    def realize_line(self, rep: TruncatedZRep) -> np.ndarray:
-        """Exact compression of the polynomial to the line basis e_k,
-        |k| <= N: on z1 U^a V^b e_k = lambda^(bk) e_{k+a}, on z1prime
-        U^a V^b e_k = lambda^(-a(k+b)) e_{k+b}; only images outside the
-        window are dropped.  Each term's lambda^b (z1) or lambda^(-a)
-        (z1prime) is taken once, with theta times that power reduced mod 1
-        exactly, so the phases keep unit modulus at any power."""
-        num, den = rep.theta.as_integer_ratio()
-        out = np.zeros((rep.dim, rep.dim), dtype=complex)
-        ks = np.arange(-rep.N, rep.N + 1)
-        for (a, b), c in self.coeffs:
-            step, power, offset = (a, b, 0) if rep.variant == "z1" else (b, -a, b)
-            kept = ks[np.abs(ks + step) <= rep.N]
-            mu = cmath.exp(2j * math.pi * (num * power % den / den))
-            out[kept + step + rep.N, kept + rep.N] += c * mu ** (kept + offset)
-        return out
-
 
 # --- Rieffel projection ---------------------------------------------------------
 
@@ -355,10 +353,7 @@ def _fourier_coeffs(fn, K: int) -> np.ndarray:
     xs = np.arange(samples) / samples
     vals = np.array([fn(x) for x in xs])
     spec = np.fft.fft(vals) / samples
-    out = np.empty(2 * K + 1, dtype=complex)
-    for k in range(-K, K + 1):
-        out[k + K] = spec[k % samples]
-    return out
+    return spec[np.arange(-K, K + 1) % samples]
 
 
 def rieffel_polynomial(theta: float, K: int) -> tuple[TorusPolynomial, float]:
@@ -390,6 +385,7 @@ def rieffel_projection(theta: ThetaLike, rep) -> RieffelProjectionSpec:
         raise InvalidInput(
             f"theta = {th} does not match the representation's {rep.theta}")
     q = rep.q
+    _refuse_beyond_memory(176 * q * q, f"the clock projection at q = {q}")  # ru_maxrss
     # eigenbasis of the cyclic shift: column j has eigenvalue
     # exp(-2 pi i j / q), i.e. circle coordinate x_j = -j/q mod 1
     j = np.arange(q)

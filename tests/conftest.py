@@ -4,9 +4,22 @@ Tests named ``test_criterion_NN_*`` get a one-line PASS/FAIL verdict in a
 terminal section after the run, so the verdicts survive output capture.
 Success notes are supplied by the tests through the ``criterion`` fixture;
 failures are read off the test reports directly.
+
+BLAS runs on one thread, as in the benchmark, so that a box test takes
+the same time whether or not another process keeps a second core busy.
+A thread count set by the caller stands.
 """
 
+import os
+import sys
+
 import pytest
+
+# BLAS reads its thread count once, when numpy is first imported
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before the BLAS thread pin")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 NOTES = pytest.StashKey()
 

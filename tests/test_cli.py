@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncg_torus import cli, zlattice
+from ncg_torus import cli, fredholm, torus_rep, zlattice
 from ncg_torus.cli import main, render_json
 
 
@@ -279,6 +279,20 @@ class TestPairCommand:
         assert (code, out) == (3, "")
         assert "both sides" in err
 
+    @pytest.mark.parametrize("argv,rank", [
+        (("--theta", "0.01", "--N", "8"), "rank 0 of 289"),
+        (("--theta", "0.99", "--N", "8"), "rank 289 of 289"),
+        (("--theta", "1e-5", "--N", "4"), "rank 0 of 81"),  # an empty polynomial
+    ], ids=["0.01", "0.99", "1e-5"])
+    def test_dirac_degenerate_rank_exits_3(self, capsys, argv, rank):
+        # a rank-0 or full-rank box projection compresses the phase to the
+        # zero map or to itself, index 0 either way; these used to certify
+        # 0 where the class pairs to -1, or to crash on the empty polynomial
+        code, out, err = run_cli(capsys, "pair", "--module", "dirac",
+                                 "--class", "p", *argv)
+        assert (code, out) == (3, "")
+        assert rank in err
+
     @pytest.mark.parametrize("argv,exit_code", [
         (("--theta", "0", "--N", "4"), 2),
         (("--theta", "1", "--N", "4"), 2),
@@ -427,6 +441,23 @@ class TestRepDumpCommand:
     def test_clock_rejects_irrational(self, capsys):
         assert run_cli(capsys, "rep-dump", "--rep", "clock",
                        "--theta", "golden")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("rep-dump", "--rep", "clock", "--theta", "1/300"),
+    ("rep-dump", "--rep", "dirac", "--theta", "0.3", "--N", "4"),
+    ("rep-dump", "--rep", "z1", "--theta", "0.3", "--N", "100"),
+    ("pair", "--module", "dirac", "--class", "p", "--N", "8"),
+    ("pair", "--module", "z0prime", "--class", "p", "--theta", "1/100"),
+], ids=["clock dump", "box dump", "line dump", "box pass", "clock projection"])
+def test_requests_beyond_memory_exit_2(capsys, monkeypatch, argv):
+    # a 1 MiB ceiling refuses each call before its dense build; without the
+    # guard each would need only a few MB
+    monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(fredholm, "_dirac_cache", {})  # a cached pass needs none
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "physical memory" in err
 
 
 #: sha256 of stdout for calls whose output holds no BLAS-dependent float,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from ncg_torus import fredholm
 from ncg_torus.errors import (
@@ -26,12 +27,15 @@ from ncg_torus.fredholm import (
 )
 from ncg_torus.torus_rep import (
     TorusPolynomial,
+    TruncatedZRep,
     clock_shift,
     dirac_data,
     rieffel_polynomial,
     rieffel_projection,
     truncated_rep,
 )
+
+from line_oracle import dense_odd_counts
 
 GOLDEN = "0.618033988749894848204586834365638117720309179805762862135"
 
@@ -125,17 +129,21 @@ class TestOddPairing:
         mod = canonical_odd(truncated_rep(GOLDEN, 8), fiber_dim=d)
         assert odd_pairing(mod, "U").value == -d
 
-    def test_fiber_counts_are_multiplied_not_recomputed(self, monkeypatch):
-        # one realization and one SVD pair, whatever the fiber dimension
-        calls = []
-        count = fredholm._kernel_count
-        monkeypatch.setattr(fredholm, "_kernel_count",
-                            lambda a, tol: calls.append(a.shape) or count(a, tol))
+    def test_fiber_counts_are_multiplied_not_recomputed(self):
+        # fiber 1 counts (0, 2) for U^2; three copies count three times that
         res = odd_pairing(canonical_odd(truncated_rep(GOLDEN, 8), fiber_dim=3),
                           "U^2", stability_check=False)
-        assert len(calls) == 2
         assert (res.value, res.details["kernel"], res.details["cokernel"]) == \
             (-6, 0, 6)
+
+    def test_bulk_clamps_the_count_and_the_recheck_catches_it(self):
+        # at N = 7 a fifth power leaves a bulk of 3 columns, so the count
+        # reads -3; at N = 11 it reads -5
+        mod = canonical_odd(truncated_rep(GOLDEN, 7))
+        res = odd_pairing(mod, "U^5", stability_check=False)
+        assert (res.value, res.details["cokernel"]) == (-3, 3)
+        with pytest.raises(UnstableIndex, match="-3 at N = 7 became -5 at N = 11"):
+            odd_pairing(mod, "U^5")
 
     def test_mixed_word_winds_once(self):
         mod = canonical_odd(truncated_rep(GOLDEN, 10))
@@ -218,6 +226,50 @@ class TestOddPairing:
             assert "U" not in vars(rep) and "V" not in vars(rep)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(a=strategies.integers(-6, 6), b=strategies.integers(-6, 6),
+       N=strategies.integers(1, 12),
+       variant=strategies.sampled_from(["z1", "z1prime"]),
+       fiber_dim=strategies.integers(1, 3), theta=strategies.floats(0, 1),
+       coeff_turn=strategies.floats(0, 1),
+       phase_seed=strategies.none() | strategies.integers(0, 2**32 - 1))
+def test_odd_count_matches_a_dense_svd(a, b, N, variant, fiber_dim, theta,
+                                       coeff_turn, phase_seed):
+    # the oracle realizes c U^a V^b with a random unit c, conjugates it by
+    # random unit phases and counts singular values below ODD_RANK_TOL;
+    # the unconjugated pairing is rechecked at N + 4 against the oracle
+    rep = TruncatedZRep(theta, N, variant)
+    word = TorusPolynomial.from_dict(
+        theta, {(a, b): np.exp(2j * np.pi * coeff_turn)})
+    module = canonical_odd(rep, fiber_dim)
+    phases = None
+    if phase_seed is not None:
+        rng = np.random.default_rng(phase_seed)
+        phases = np.exp(2j * np.pi * rng.random(rep.dim))
+        module = conjugate_module(module, phases)
+
+    def oracle():
+        ker, coker = dense_odd_counts(word, rep, fiber_dim, phases)
+        if phases is None:
+            again = dense_odd_counts(word, TruncatedZRep(theta, N + 4, variant),
+                                     fiber_dim)
+            if again[0] - again[1] != ker - coker:
+                raise UnstableIndex
+        return ker - coker, ker, coker
+
+    def count():
+        res = odd_pairing(module, f"U^{a} V^{b}", stability_check=phases is None)
+        return res.value, res.details["kernel"], res.details["cokernel"]
+
+    outcomes = []
+    for run in (oracle, count):
+        try:
+            outcomes.append(run())
+        except (RepresentationTooSmall, UnstableIndex) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[1] == outcomes[0]
+
+
 class TestConjugationInvariance:
     def test_odd_values_survive_diagonal_conjugation(self):
         rng = np.random.default_rng(23)
@@ -230,34 +282,6 @@ class TestConjugationInvariance:
             assert a == b
         with pytest.raises(InvalidInput):
             odd_pairing(conj, "U")  # phases do not carry over to N + 4
-
-    def test_odd_pairing_realizes_the_conjugated_generators(self, monkeypatch):
-        # value invariance cannot tell an applied conjugation from an
-        # ignored one: look at the compression the kernels are counted on
-        rng = np.random.default_rng(5)
-        base = truncated_rep(GOLDEN, 6)
-        phases = np.exp(2j * np.pi * rng.random(13))
-        twice = np.exp(2j * np.pi * rng.random(13))
-        seen = []
-        count = fredholm._kernel_count
-        monkeypatch.setattr(fredholm, "_kernel_count",
-                            lambda a, tol: seen.append(a) or count(a, tol))
-        mod = conjugate_module(canonical_odd(base), phases)
-        odd_pairing(mod, "U", stability_check=False)
-        odd_pairing(conjugate_module(mod, twice), "U V", stability_check=False)
-        half = slice(6, 13)  # k >= 0
-        words = (((1, 0), phases), ((1, 1), phases * twice))  # U, then U V
-        for i, (key, d) in enumerate(words):
-            plain = TorusPolynomial.from_dict(base.theta, {key: 1}).realize_line(
-                base)
-            want = (np.diag(d) @ plain @ np.diag(d).conj())[half, half]
-            comp, adj = seen[2 * i], seen[2 * i + 1]
-            bulk = comp.shape[1]
-            assert np.abs(comp - want[:, :bulk]).max() <= 1e-15
-            assert np.abs(adj - want.conj().T[:, :bulk]).max() <= 1e-15
-            # V is diagonal on z1 and commutes with the phases; the shift U
-            # does not, so an ignored conjugation shows here
-            assert np.abs(comp - plain[half, half][:, :bulk]).max() > 0.1
 
     def test_even_values_survive_diagonal_conjugation(self):
         rng = np.random.default_rng(29)

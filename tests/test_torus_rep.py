@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+from ncg_torus import torus_rep
 from ncg_torus.errors import (
+    ExceedsMemory,
     InvalidInput,
     NotCoprime,
     ThetaOutOfRange,
@@ -25,6 +27,8 @@ from ncg_torus.torus_rep import (
     rieffel_projection,
     truncated_rep,
 )
+
+from line_oracle import realize_line
 
 GOLDEN = "0.618033988749894848204586834365638117720309179805762862135"
 
@@ -256,13 +260,13 @@ def test_line_realization_is_a_star_homomorphism_in_bulk(theta, N, variant, x, y
     rep = TruncatedZRep(theta, N, variant)
     x = TorusPolynomial.from_dict(theta, x)
     y = TorusPolynomial.from_dict(theta, y)
-    rx = x.realize_line(rep)
+    rx = realize_line(x, rep)
     bulk = slice(2, 2 * N - 1)
     assert np.abs(rx[:, bulk] - dense_products(x, rep)[:, bulk]).max() <= 1e-12
-    adj = x.adjoint().realize_line(rep)
+    adj = realize_line(x.adjoint(), rep)
     assert np.abs(adj[:, bulk] - rx.conj().T[:, bulk]).max() <= 1e-12
-    prod = rx @ y.realize_line(rep)[:, bulk]
-    assert np.abs((x * y).realize_line(rep)[:, bulk] - prod).max() <= 1e-12
+    prod = rx @ realize_line(y, rep)[:, bulk]
+    assert np.abs(realize_line(x * y, rep)[:, bulk] - prod).max() <= 1e-12
 
 
 class TestBumpPair:
@@ -348,3 +352,24 @@ class TestRieffelProjection:
         for theta in (0.0, 1.0):
             with pytest.raises(ThetaOutOfRange):
                 rieffel_polynomial(theta, 2)
+
+
+class TestMemoryGuard:
+    def test_refuses_only_beyond_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 1000)
+        torus_rep._refuse_beyond_memory(1000, "a build")
+        with pytest.raises(ExceedsMemory, match="a build needs about"):
+            torus_rep._refuse_beyond_memory(1001, "a build")
+
+    @pytest.mark.parametrize("build", [
+        lambda: clock_shift(1, 300),  # 32 q^2 = 2.9 MB
+        lambda: truncated_rep("0.3", 200).U,  # 16 dim^2 = 2.6 MB
+        lambda: dirac_data("0.3", 8).V,  # 1.3 MB
+        lambda: rieffel_projection(Fraction(1, 100), clock_shift(1, 100)),  # 1.8 MB
+    ], ids=["clock", "line", "box generator", "clock projection"])
+    def test_dense_builds_are_estimated_before_they_allocate(self, monkeypatch,
+                                                            build):
+        # a 1 MiB ceiling; every build here would also fit in a few MB
+        monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**20)
+        with pytest.raises(ExceedsMemory, match="physical memory"):
+            build()
