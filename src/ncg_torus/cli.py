@@ -113,8 +113,6 @@ def _render_dict(obj, out: list) -> None:
 def _matrix_dump(mat: np.ndarray) -> list:
     """Row-major [re, im] pairs."""
     m = np.asarray(mat, dtype=complex)
-    # the U and V lists and their JSON peak at 500 bytes an entry (ru_maxrss)
-    _refuse_beyond_memory(512 * m.size, f"a dump of {m.size} matrix entries")
     return np.stack([m.real, m.imag], -1).tolist()
 
 
@@ -186,13 +184,15 @@ def cmd_pair(args) -> dict:
     else:
         # z0 is the clock module at q = 1, where the class p is zero
         rep = clock_shift(0, 1) if module == "z0" else _clock_rep(args.theta)
+        # refused before any q×q build: the projection's estimate, then U's and V's
+        if klass == "p" and module == "z0prime":
+            e = rieffel_projection(rep.theta, rep).matrix
+        mod = canonical_even({"U": rep.U, "V": rep.V})
         if klass == "1":
             e = np.eye(rep.q)
         elif module == "z0":
             e = np.zeros((1, 1))
-        else:
-            e = rieffel_projection(rep.theta, rep).matrix
-        res = even_pairing(canonical_even({"U": rep.U, "V": rep.V}), e)
+        res = even_pairing(mod, e)
     return {"module": module, "class": klass, "theta": theta,
             "result": res.to_json_obj()}
 
@@ -260,19 +260,23 @@ def cmd_tower(args) -> dict:
 
 def cmd_rep_dump(args) -> dict:
     theta = _theta_text(args.theta)
+    out = {"rep": args.rep, "theta": theta}
     if args.rep == "clock":
         rep = _clock_rep(args.theta)
-        return {"rep": "clock", "dim": rep.dim, "theta": theta,
-                "U": _matrix_dump(rep.U), "V": _matrix_dump(rep.V)}
-    if args.rep in ("z1", "z1prime"):
+    elif args.rep == "dirac":
+        rep = dirac_data(theta, args.N)
+    else:
         rep = truncated_rep(theta, args.N, args.rep)
-        return {"rep": args.rep, "dim": rep.dim, "theta": theta, "N": rep.N,
-                "defective_generator": rep.defective_generator,
-                "U": _matrix_dump(rep.U), "V": _matrix_dump(rep.V)}
-    rep = dirac_data(theta, args.N)
-    return {"rep": "dirac", "dim": rep.dim, "theta": theta, "N": rep.N,
-            "U": _matrix_dump(rep.U), "V": _matrix_dump(rep.V),
-            "F0_diag": _matrix_dump(rep.F0_diag)}
+        out["defective_generator"] = rep.defective_generator
+    # refused before any generator is built: the U and V lists and their
+    # JSON peak at 500 bytes a matrix entry (ru_maxrss)
+    _refuse_beyond_memory(512 * rep.dim**2, f"a dump of {rep.dim**2} matrix entries")
+    out.update(dim=rep.dim, U=_matrix_dump(rep.U), V=_matrix_dump(rep.V))
+    if args.rep != "clock":
+        out["N"] = rep.N
+    if args.rep == "dirac":
+        out["F0_diag"] = _matrix_dump(rep.F0_diag)
+    return out
 
 
 # --- driver -----------------------------------------------------------------------

@@ -25,7 +25,6 @@ sits in the bulk.  Truncation artifacts live at the edge in both cases.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -321,11 +320,9 @@ def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
     # truncation edge; each such column of p^2 - p holds exactly the
     # coefficients of poly*poly - poly times unit phases
     resid = poly * poly + poly.scale(-1)
-    build_defect = math.sqrt(sum(abs(v) ** 2 for _, v in resid.coeffs))
+    build_defect = float(np.linalg.norm(resid.c))
     # the real polish is exact only for a mirror-symmetric polynomial
-    c = poly.as_dict()
-    mirror = max((abs(c.get((-a, b), 0) - v.conjugate()) for (a, b), v in c.items()),
-                 default=0.0)
+    mirror = float(np.abs(poly.c[::-1, :] - poly.c.conj()).max())
     if mirror > ADJOINT_TOL:
         raise NotAProjection(f"mirror defect {mirror:.2e} above {ADJOINT_TOL}")
     w, wmat = _mirror_polish(poly.realize_box(rep), N)

@@ -10,12 +10,14 @@ Conventions, used consistently across the package:
   variant shifts with V (U e_k = lambda^{-k} e_k, V e_k = e_{k+1});
 * the two-index box rep lives on e_{m,n}, |m|,|n| <= N, with
   U e_{m,n} = e_{m+1,n}, V e_{m,n} = lambda^m e_{m,n+1} and the diagonal
-  phase F0 e_{m,n} = (m+in)/sqrt(m^2+n^2) e_{m,n}, F0 e_{0,0} = e_{0,0}.
+  phase F0 e_{m,n} = (m+in)/sqrt(m^2+n^2) e_{m,n}, F0 e_{0,0} = e_{0,0};
+  its U and V are the monomials U and V realized by ``realize_box``.
 
 Shift generators are truncated (the outgoing boundary column is zero).  The
 index routes never multiply truncated generators: ``realize_box`` compresses
 a polynomial exactly to the box, and the odd route counts the exact
 compression of its monomial from the exponents, so no truncation error enters.
+Every power of lambda is Python's scalar ``lam ** k`` (``_lam_powers``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ def _op_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
 
 
+def _lam_powers(lam: complex, ks: np.ndarray) -> np.ndarray:
+    """lam ** k for each integer k of the array ``ks``, shaped like it."""
+    return np.array([lam ** k for k in ks.ravel().tolist()],
+                    dtype=complex).reshape(ks.shape)
+
+
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -75,16 +83,28 @@ def _refuse_beyond_memory(nbytes: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class ClockShiftRep:
-    """Exact finite-dimensional representation at rational theta = m/q."""
+    """Exact finite-dimensional representation at rational theta = m/q; the
+    dense ``U`` and ``V`` are built on first read."""
 
     m: int
     q: int
-    U: np.ndarray
-    V: np.ndarray
 
     @property
     def lam(self) -> complex:
         return cmath.exp(2j * math.pi * self.m / self.q)
+
+    # each first read estimates the pair, which every caller reads
+    @cached_property
+    def U(self) -> np.ndarray:
+        _refuse_beyond_memory(32 * self.q**2, f"the clock rep at q = {self.q}")
+        u = np.eye(self.q, k=-1, dtype=complex)  # e_j -> e_{j+1 mod q}
+        u[0, -1] = 1.0
+        return u
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        _refuse_beyond_memory(32 * self.q**2, f"the clock rep at q = {self.q}")
+        return np.diag(_lam_powers(self.lam, np.arange(self.q)))
 
     @property
     def theta(self) -> float:
@@ -101,12 +121,7 @@ def clock_shift(m: int, q: int) -> ClockShiftRep:
         raise InvalidInput("q must be positive")
     if math.gcd(m, q) != 1:
         raise NotCoprime(f"gcd({m}, {q}) != 1")
-    _refuse_beyond_memory(32 * q * q, f"the clock rep at q = {q}")
-    u = np.eye(q, k=-1, dtype=complex)  # e_j -> e_{j+1 mod q}
-    u[0, q - 1] = 1.0
-    lam = cmath.exp(2j * math.pi * m / q)
-    v = np.diag([lam**j for j in range(q)])
-    return ClockShiftRep(m, q, u, v)
+    return ClockShiftRep(m, q)
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,7 @@ class TruncatedZRep:
         if self.variant == shifts_on:
             return np.eye(self.dim, k=-1, dtype=complex)
         lam = cmath.exp(2j * math.pi * self.theta)
-        return np.diag([lam**(sign * k) for k in range(-self.N, self.N + 1)])
+        return np.diag(_lam_powers(lam, sign * np.arange(-self.N, self.N + 1)))
 
     def interior_defect(self) -> float:
         """Commutation defect of VU - lambda UV on columns |k| <= N-1."""
@@ -181,31 +196,13 @@ class TruncatedZ2Rep:
         return np.array([complex(m, n) / math.hypot(m, n) if m or n else 1.0
                          for m in rng for n in rng], dtype=complex)
 
-    def site_index(self, m: int, n: int) -> int:
-        if abs(m) > self.N or abs(n) > self.N:
-            raise InvalidInput(f"site ({m},{n}) outside the box N = {self.N}")
-        w = 2 * self.N + 1
-        return (m + self.N) * w + (n + self.N)
-
     @cached_property
     def U(self) -> np.ndarray:
-        return self._shift(1, 0)
+        return TorusPolynomial(self.theta, np.array([[0], [0], [1]])).realize_box(self)
 
     @cached_property
     def V(self) -> np.ndarray:
-        return self._shift(0, 1)
-
-    def _shift(self, dm: int, dn: int) -> np.ndarray:
-        """e_{m,n} -> lambda^(m dn) e_{m+dm,n+dn}, outgoing columns zero."""
-        N = self.N
-        _refuse_beyond_memory(16 * self.dim**2, f"a box generator at N = {N}")
-        lam = cmath.exp(2j * math.pi * self.theta)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for m in range(-N, N + 1 - dm):
-            for n in range(-N, N + 1 - dn):
-                out[self.site_index(m + dm, n + dn), self.site_index(m, n)] = \
-                    lam ** (m * dn)
-        return out
+        return TorusPolynomial(self.theta, np.array([[0, 0, 1]])).realize_box(self)
 
 
 def dirac_data(theta: ThetaLike, N: int) -> TruncatedZ2Rep:
@@ -217,53 +214,55 @@ def dirac_data(theta: ThetaLike, N: int) -> TruncatedZ2Rep:
 
 # --- polynomial elements of the algebra ---------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusPolynomial:
-    """Finite sum  sum a_{m,n} U^m V^n  at a fixed theta.
+    """Finite sum  sum a_{m,n} U^m V^n  at a fixed theta, held as one dense
+    array of odd shape (2M+1, 2L+1): ``c[m + M, n + L]`` is a_{m,n}.
 
     Multiplication uses V^n U^m = lambda^{nm} U^m V^n; the adjoint of
     c U^m V^n is conj(c) lambda^{mn} U^{-m} V^{-n}.
     """
 
     theta: float
-    coeffs: tuple[tuple[tuple[int, int], complex], ...]
+    c: np.ndarray
 
-    @classmethod
-    def from_dict(cls, theta: float, d: dict) -> "TorusPolynomial":
-        items = tuple(sorted((k, complex(v)) for k, v in d.items() if v != 0))
-        return cls(float(theta), items)
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
+    def __post_init__(self):
+        c = np.asarray(self.c, dtype=complex)
+        if c.ndim != 2 or not (c.shape[0] % 2 and c.shape[1] % 2):
+            raise InvalidInput(f"coefficient array of shape {c.shape} has no centre")
+        object.__setattr__(self, "c", c)
 
     @property
     def lam(self) -> complex:
         return cmath.exp(2j * math.pi * self.theta)
 
+    def _degrees(self, axis: int) -> np.ndarray:
+        """The exponents -M..M of U (axis 0) or -L..L of V (axis 1)."""
+        return np.arange(self.c.shape[axis]) - self.c.shape[axis] // 2
+
     def __add__(self, other: "TorusPolynomial") -> "TorusPolynomial":
-        d = dict(self.coeffs)
-        for k, v in other.coeffs:
-            d[k] = d.get(k, 0) + v
-        return TorusPolynomial.from_dict(self.theta, d)
+        shape = np.maximum(self.c.shape, other.c.shape)
+        out = np.zeros(shape, dtype=complex)
+        for c in (self.c, other.c):
+            dm, dn = (shape - c.shape) // 2
+            out[dm:shape[0] - dm, dn:shape[1] - dn] += c
+        return TorusPolynomial(self.theta, out)
 
     def __mul__(self, other: "TorusPolynomial") -> "TorusPolynomial":
-        lam = self.lam
-        d: dict = {}
-        for (m1, n1), c1 in self.coeffs:
-            for (m2, n2), c2 in other.coeffs:
-                key = (m1 + m2, n1 + n2)
-                d[key] = d.get(key, 0) + c1 * c2 * lam ** (n1 * m2)
-        return TorusPolynomial.from_dict(self.theta, d)
+        a, b = self.c, other.c
+        out = np.zeros(np.add(a.shape, b.shape) - 1, dtype=complex)
+        for j1, n1 in enumerate(self._degrees(1)):
+            twisted = b * _lam_powers(self.lam, n1 * other._degrees(0))[:, None]
+            for j2 in range(b.shape[1]):
+                out[:, j1 + j2] += np.convolve(a[:, j1], twisted[:, j2])
+        return TorusPolynomial(self.theta, out)
 
     def scale(self, c: complex) -> "TorusPolynomial":
-        return TorusPolynomial.from_dict(
-            self.theta, {k: c * v for k, v in self.coeffs})
+        return TorusPolynomial(self.theta, c * self.c)
 
     def adjoint(self) -> "TorusPolynomial":
-        d = {}
-        for (m, n), c in self.coeffs:
-            d[(-m, -n)] = d.get((-m, -n), 0) + c.conjugate() * self.lam ** (m * n)
-        return TorusPolynomial.from_dict(self.theta, d)
+        twist = _lam_powers(self.lam, np.outer(self._degrees(0), self._degrees(1)))
+        return TorusPolynomial(self.theta, self.c[::-1, ::-1].conj() * twist)
 
     def realize_box(self, rep: TruncatedZ2Rep) -> np.ndarray:
         """Exact compression of the polynomial to the box basis.
@@ -271,19 +270,19 @@ class TorusPolynomial:
         Matrix elements are those of the untruncated operator between box
         sites, so interior columns carry no truncation error at all.
         """
+        N, w = rep.N, 2 * rep.N + 1
+        _refuse_beyond_memory(16 * rep.dim**2, f"a box matrix at N = {N}")
         lam = cmath.exp(2j * math.pi * rep.theta)
         out = np.zeros((rep.dim, rep.dim), dtype=complex)
-        w = 2 * rep.N + 1
-        base = np.arange(-rep.N, rep.N + 1)
-        for (a, b), c in self.coeffs:
-            ms = base[(base + a >= -rep.N) & (base + a <= rep.N)]
-            ns = base[(base + b >= -rep.N) & (base + b <= rep.N)]
-            if ms.size == 0 or ns.size == 0:
-                continue
-            rows = ((ms + a + rep.N) * w)[:, None] + (ns + b + rep.N)[None, :]
-            cols = ((ms + rep.N) * w)[:, None] + (ns + rep.N)[None, :]
-            vals = c * lam ** (ms * b)
-            out[rows, cols] += np.broadcast_to(vals[:, None], rows.shape)
+        base = np.arange(-N, N + 1)
+        for j, b in enumerate(self._degrees(1)):  # lambda^(mb), once per b
+            ns, phases = base[np.abs(base + b) <= N], _lam_powers(lam, base * b)
+            for i in np.flatnonzero(self.c[:, j]):
+                a = i - self.c.shape[0] // 2
+                kept = np.abs(base + a) <= N
+                rows = ((base[kept] + a + N) * w)[:, None] + (ns + b + N)
+                cols = ((base[kept] + N) * w)[:, None] + (ns + N)
+                out[rows, cols] += (self.c[i, j] * phases[kept])[:, None]
         return out
 
 
@@ -361,15 +360,14 @@ def rieffel_polynomial(theta: float, K: int) -> tuple[TorusPolynomial, float]:
     bumps cut off at Fourier degree K, and the ramp width delta;
     0 < theta < 1.  No rep."""
     f, g, delta = _bump_pair(theta, "smooth")
-    fhat = _fourier_coeffs(f, K)
-    ghat = _fourier_coeffs(g, K)
     lam = cmath.exp(2j * math.pi * theta)
-    f_poly = TorusPolynomial.from_dict(
-        theta, {(k, 0): fhat[k + K] for k in range(-K, K + 1)})
-    # V g(U) = sum_k ghat_k lambda^k U^k V, then add its adjoint
-    vg_poly = TorusPolynomial.from_dict(
-        theta, {(k, 1): ghat[k + K] * lam**k for k in range(-K, K + 1)})
-    return f_poly + vg_poly + vg_poly.adjoint(), delta
+    ks = np.arange(-K, K + 1)
+    c = np.empty((2 * K + 1, 3), dtype=complex)
+    c[:, 1] = _fourier_coeffs(f, K)
+    # V g(U) = sum_k ghat_k lambda^k U^k V at n = 1, its adjoint at n = -1
+    c[:, 2] = _fourier_coeffs(g, K) * _lam_powers(lam, ks)
+    c[:, 0] = c[::-1, 2].conj() * _lam_powers(lam, -ks)
+    return TorusPolynomial(theta, c), delta
 
 
 def rieffel_projection(theta: ThetaLike, rep) -> RieffelProjectionSpec:

@@ -26,7 +26,6 @@ from ncg_torus.fredholm import (
     odd_pairing,
 )
 from ncg_torus.torus_rep import (
-    TorusPolynomial,
     TruncatedZRep,
     clock_shift,
     dirac_data,
@@ -35,7 +34,7 @@ from ncg_torus.torus_rep import (
     truncated_rep,
 )
 
-from line_oracle import dense_odd_counts
+from line_oracle import dense_odd_counts, poly_as_dict, poly_from_dict
 
 GOLDEN = "0.618033988749894848204586834365638117720309179805762862135"
 
@@ -239,8 +238,7 @@ def test_odd_count_matches_a_dense_svd(a, b, N, variant, fiber_dim, theta,
     # random unit phases and counts singular values below ODD_RANK_TOL;
     # the unconjugated pairing is rechecked at N + 4 against the oracle
     rep = TruncatedZRep(theta, N, variant)
-    word = TorusPolynomial.from_dict(
-        theta, {(a, b): np.exp(2j * np.pi * coeff_turn)})
+    word = poly_from_dict(theta, {(a, b): np.exp(2j * np.pi * coeff_turn)})
     module = canonical_odd(rep, fiber_dim)
     phases = None
     if phase_seed is not None:
@@ -406,9 +404,9 @@ class TestDiracPairing:
     def test_mirror_asymmetric_projection_is_rejected(self, monkeypatch):
         def broken(theta, K):
             poly, delta = rieffel_polynomial(theta, K)
-            d = poly.as_dict()
+            d = poly_as_dict(poly)
             d[(1, 0)] += 1e-6  # (-1, 0) keeps its value
-            return TorusPolynomial.from_dict(theta, d), delta
+            return poly_from_dict(theta, d), delta
 
         monkeypatch.setattr(fredholm, "rieffel_polynomial", broken)
         monkeypatch.setattr(fredholm, "_dirac_cache", {})

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from ncg_torus import torus_rep
 from ncg_torus.errors import (
@@ -28,7 +28,14 @@ from ncg_torus.torus_rep import (
     truncated_rep,
 )
 
-from line_oracle import realize_line
+from line_oracle import (
+    dict_adjoint,
+    dict_product,
+    poly_as_dict,
+    poly_from_dict,
+    realize_line,
+    site_index,
+)
 
 GOLDEN = "0.618033988749894848204586834365638117720309179805762862135"
 
@@ -39,7 +46,7 @@ def relation_defect(U, V, lam):
 
 def a00(poly):
     """The constant coefficient: the canonical trace of a polynomial."""
-    return poly.as_dict().get((0, 0), 0j)
+    return poly_as_dict(poly).get((0, 0), 0j)
 
 
 def dense_products(poly, rep):
@@ -47,7 +54,8 @@ def dense_products(poly, rep):
     adjoint for negative powers."""
     def power(g, k):
         return np.linalg.matrix_power(g if k >= 0 else g.conj().T, abs(k))
-    return sum((c * power(rep.U, a) @ power(rep.V, b) for (a, b), c in poly.coeffs),
+    terms = poly_as_dict(poly).items()
+    return sum((c * power(rep.U, a) @ power(rep.V, b) for (a, b), c in terms),
                np.zeros((rep.dim, rep.dim), dtype=complex))
 
 
@@ -144,10 +152,10 @@ class TestDiracData:
     def test_phase_values(self):
         rep = dirac_data(GOLDEN, 2)
         f0 = rep.F0_diag
-        assert f0[rep.site_index(0, 0)] == 1.0
-        assert f0[rep.site_index(1, 0)] == 1.0
-        assert f0[rep.site_index(0, 1)] == 1j
-        assert abs(f0[rep.site_index(1, 1)] - (1 + 1j) / math.sqrt(2)) <= 1e-15
+        assert f0[site_index(rep, 0, 0)] == 1.0
+        assert f0[site_index(rep, 1, 0)] == 1.0
+        assert f0[site_index(rep, 0, 1)] == 1j
+        assert abs(f0[site_index(rep, 1, 1)] - (1 + 1j) / math.sqrt(2)) <= 1e-15
         assert np.allclose(np.abs(f0), 1.0, atol=1e-15)
 
     def test_generator_action(self):
@@ -159,37 +167,38 @@ class TestDiracData:
             u_col = np.zeros(rep.dim, dtype=complex)
             v_col = np.zeros(rep.dim, dtype=complex)
             if m < 2:
-                u_col[rep.site_index(m + 1, n)] = 1.0
+                u_col[site_index(rep, m + 1, n)] = 1.0
             if n < 2:
-                v_col[rep.site_index(m, n + 1)] = lam ** m
-            col = rep.site_index(m, n)
+                v_col[site_index(rep, m, n + 1)] = lam ** m
+            col = site_index(rep, m, n)
             assert np.array_equal(rep.U[:, col], u_col)
             assert np.abs(rep.V[:, col] - v_col).max() <= 1e-15
 
     def test_site_index_bounds(self):
         rep = dirac_data(GOLDEN, 2)
         with pytest.raises(InvalidInput):
-            rep.site_index(3, 0)
+            site_index(rep, 3, 0)
 
 
 class TestTorusPolynomial:
     def test_product_picks_up_phase(self):
         # (U V)(U V) = lambda U^2 V^2
         th = 0.37
-        uv = TorusPolynomial.from_dict(th, {(1, 1): 1.0})
+        uv = poly_from_dict(th, {(1, 1): 1.0})
         sq = uv * uv
         lam = cmath.exp(2j * math.pi * th)
-        assert set(sq.as_dict()) == {(2, 2)}
-        assert abs(sq.as_dict()[(2, 2)] - lam) <= 1e-15
+        assert set(poly_as_dict(sq)) == {(2, 2)}
+        assert abs(poly_as_dict(sq)[(2, 2)] - lam) <= 1e-15
 
     def test_adjoint_involution_and_phase(self):
         th = 0.29
-        x = TorusPolynomial.from_dict(th, {(1, 1): 2j, (0, 2): 1.5, (-1, 0): 0.3})
-        adj = x.adjoint().as_dict()
+        x = poly_from_dict(th, {(1, 1): 2j, (0, 2): 1.5, (-1, 0): 0.3})
+        adj = poly_as_dict(x.adjoint())
         lam = cmath.exp(2j * math.pi * th)
         assert abs(adj[(-1, -1)] - (-2j) * lam) <= 1e-15
         back = x.adjoint().adjoint()
-        assert back == x
+        assert back.theta == x.theta and back.c.shape == x.c.shape
+        assert np.abs(back.c - x.c).max() <= 1e-15
 
     def test_trace_property_on_random_polynomials(self):
         rng = np.random.default_rng(3)
@@ -200,7 +209,7 @@ class TestTorusPolynomial:
                 for _ in range(4):
                     k = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
                     d[k] = complex(rng.normal(), rng.normal())
-                return TorusPolynomial.from_dict(th, d)
+                return poly_from_dict(th, d)
             x, y = rand_poly(), rand_poly()
             assert abs(a00(x * y) - a00(y * x)) <= 1e-12
 
@@ -209,12 +218,52 @@ class TestTorusPolynomial:
         rep = dirac_data(GOLDEN, 5)
         d = {(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))):
              complex(rng.normal(), rng.normal()) for _ in range(5)}
-        poly = TorusPolynomial.from_dict(rep.theta, d)
+        poly = poly_from_dict(rep.theta, d)
         via_formula = poly.realize_box(rep)
         via_products = dense_products(poly, rep)
-        bulk = [rep.site_index(m, n)
+        bulk = [site_index(rep, m, n)
                 for m in range(-1, 2) for n in range(-1, 2)]
         assert np.allclose(via_formula[:, bulk], via_products[:, bulk], atol=1e-12)
+
+
+@strategies.composite
+def _coefficient_arrays(draw):
+    """Centred arrays with independent U and V spans; zero entries are
+    common, so the zero polynomial and zero edge columns are drawn too."""
+    M, L = draw(strategies.integers(0, 3)), draw(strategies.integers(0, 2))
+    entry = strategies.just(0j) | strategies.complex_numbers(
+        max_magnitude=2, allow_nan=False, allow_infinity=False)
+    size = (2 * M + 1) * (2 * L + 1)
+    vals = draw(strategies.lists(entry, min_size=size, max_size=size))
+    return np.array(vals, dtype=complex).reshape(2 * M + 1, 2 * L + 1)
+
+
+def _agree(poly, reference: dict) -> bool:
+    got = poly_as_dict(poly)
+    return all(abs(got.get(k, 0) - reference.get(k, 0)) <= 1e-12
+               for k in set(got) | set(reference))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(theta=strategies.floats(0, 1), a=_coefficient_arrays(),
+       b=_coefficient_arrays(),
+       s=strategies.complex_numbers(max_magnitude=2, allow_nan=False,
+                                    allow_infinity=False))
+@example(theta=0.37, a=np.zeros((1, 1)), b=np.arange(5.0).reshape(5, 1), s=1j)
+@example(theta=0.37, a=np.arange(1.0, 4.0).reshape(1, 3), b=np.zeros((3, 5)),
+         s=0j)
+def test_array_algebra_matches_the_dict_algebra(theta, a, b, s):
+    # the array +, *, adjoint and scale against the term-by-term oracle
+    x, y = TorusPolynomial(theta, a), TorusPolynomial(theta, b)
+    dx, dy = poly_as_dict(x), poly_as_dict(y)
+    total = dict(dx)
+    for k, v in dy.items():
+        total[k] = total.get(k, 0) + v
+    assert _agree(x + y, total)
+    assert _agree(x * y, dict_product(theta, dx, dy))
+    assert _agree(y * x, dict_product(theta, dy, dx))
+    assert _agree(x.adjoint(), dict_adjoint(theta, dx))
+    assert _agree(x.scale(s), {k: s * v for k, v in dx.items()})
 
 
 _box_polys = strategies.dictionaries(
@@ -231,12 +280,12 @@ def test_box_realization_is_a_star_homomorphism_in_bulk(theta, N, x, y):
     # the identity build_defect rests on: the realized p^2 - p is the
     # realized poly*poly - poly on columns whose image stays in the box
     rep = dirac_data(theta, N)
-    x = TorusPolynomial.from_dict(theta, x)
-    y = TorusPolynomial.from_dict(theta, y)
+    x = poly_from_dict(theta, x)
+    y = poly_from_dict(theta, y)
     rx = x.realize_box(rep)
     adj = x.adjoint().realize_box(rep)
     assert np.abs(adj - rx.conj().T).max() <= 1e-12
-    bulk = [rep.site_index(m, n) for m in range(2 - N, N - 1)
+    bulk = [site_index(rep, m, n) for m in range(2 - N, N - 1)
             for n in range(2 - N, N - 1)]
     prod = rx @ y.realize_box(rep)[:, bulk]
     assert np.abs((x * y).realize_box(rep)[:, bulk] - prod).max() <= 1e-12
@@ -258,8 +307,8 @@ def test_line_realization_is_a_star_homomorphism_in_bulk(theta, N, variant, x, y
     # exact compression agrees with the dense truncated generators and
     # with products of realizations
     rep = TruncatedZRep(theta, N, variant)
-    x = TorusPolynomial.from_dict(theta, x)
-    y = TorusPolynomial.from_dict(theta, y)
+    x = poly_from_dict(theta, x)
+    y = poly_from_dict(theta, y)
     rx = realize_line(x, rep)
     bulk = slice(2, 2 * N - 1)
     assert np.abs(rx[:, bulk] - dense_products(x, rep)[:, bulk]).max() <= 1e-12
@@ -322,7 +371,7 @@ class TestRieffelProjection:
                                  stability_check=False)
         rep = dirac_data(GOLDEN, N)
         p = rieffel_polynomial(rep.theta, K)[0].realize_box(rep)
-        cols = [rep.site_index(m, n) for m in range(-N + 2 * K, N - 2 * K + 1)
+        cols = [site_index(rep, m, n) for m in range(-N + 2 * K, N - 2 * K + 1)
                 for n in range(-N + 2, N - 1)]
         resid = p @ p[:, cols] - p[:, cols]
         worst = np.sqrt((np.abs(resid) ** 2).sum(axis=0)).max()
@@ -335,7 +384,7 @@ class TestRieffelProjection:
         # e_{m,n} -> e_{-m,n} composed with conjugation fixes p
         rep = dirac_data(theta, N)
         p = rieffel_polynomial(rep.theta, N // 2)[0].realize_box(rep)
-        r = [rep.site_index(-m, n)
+        r = [site_index(rep, -m, n)
              for m, n in itertools.product(range(-N, N + 1), repeat=2)]
         assert np.abs(p[r][:, r] - p.conj()).max() <= 1e-15
 
@@ -362,7 +411,7 @@ class TestMemoryGuard:
             torus_rep._refuse_beyond_memory(1001, "a build")
 
     @pytest.mark.parametrize("build", [
-        lambda: clock_shift(1, 300),  # 32 q^2 = 2.9 MB
+        lambda: clock_shift(1, 300).U,  # 32 q^2 = 2.9 MB
         lambda: truncated_rep("0.3", 200).U,  # 16 dim^2 = 2.6 MB
         lambda: dirac_data("0.3", 8).V,  # 1.3 MB
         lambda: rieffel_projection(Fraction(1, 100), clock_shift(1, 100)),  # 1.8 MB
