@@ -106,39 +106,22 @@ class EvenFredholmModule:
 class BoxFredholmModule:
     """Box module: H = C^dim (+) C^dim over the box rep, gamma = 1 (+) -1,
     F = [[0, diag(conj(F0))], [diag(F0), 0]] with F0 = ``base.F0_diag``.
-
-    ``phases`` is the diagonal conjugation set by ``conjugate_module``;
-    construction checks it as ``conjugate_module`` does.
     """
 
     base: TruncatedZ2Rep
-    phases: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.phases is not None:
-            object.__setattr__(self, "phases",
-                               _unit_phases(self.phases, self.base.dim))
 
 
 @dataclass(frozen=True)
 class OddFredholmModule:
     """Half-line symmetry F = diag(sign k) over fiber_dim copies of a
-    truncated shift rep.
-
-    ``phases`` is the diagonal conjugation set by ``conjugate_module``;
-    construction checks it as ``conjugate_module`` does.
-    """
+    truncated shift rep."""
 
     base: TruncatedZRep
     fiber_dim: int = 1
-    phases: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.fiber_dim < 1:
             raise InvalidInput("fiber_dim must be >= 1")
-        if self.phases is not None:
-            object.__setattr__(self, "phases",
-                               _unit_phases(self.phases, self.base.dim))
 
 
 def canonical_even(phi: dict) -> EvenFredholmModule:
@@ -146,7 +129,7 @@ def canonical_even(phi: dict) -> EvenFredholmModule:
     if set(phi) != {"U", "V"}:
         raise InvalidInput("phi must provide exactly the generators U and V")
     mats = {k: np.asarray(v, dtype=complex) for k, v in phi.items()}
-    d = mats["U"].shape[0]
+    d = mats["U"].shape[0] if mats["U"].ndim == 2 else -1  # -1 fits no shape
     for name, g in mats.items():
         if g.shape != (d, d):
             raise InvalidInput("generator matrices must be square of equal size")
@@ -192,9 +175,6 @@ def _recheck(module, value: int, details: dict,
              value_at: Callable[[int], int]) -> None:
     """Stability rule of both index routes: value_at(N + 4), the value of
     the module rebuilt at the larger truncation, must agree."""
-    if module.phases is not None:
-        raise InvalidInput("a conjugated module is not recomputed at a larger "
-                           "truncation; pass stability_check=False")
     N = module.base.N
     again = value_at(N + 4)
     if again != value:
@@ -232,9 +212,8 @@ def odd_pairing(module: OddFredholmModule, u: str,
     s = a on z1 and b on z1prime, or to 0 past the window.  On the bulk,
     columns 0 <= k <= N - max(|s|, 1), k + s never passes N, so singular
     values are exactly 0 or 1: the kernel counts bulk columns with
-    k + s < 0, the cokernel bulk rows with j - s < 0.  Unit phases from a
-    diagonal conjugation keep that pattern, and each fiber copy counts
-    alike.
+    k + s < 0, the cokernel bulk rows with j - s < 0.  Each fiber copy
+    counts alike.
     """
     base = module.base
     a, b = _parse_word(u)
@@ -266,7 +245,7 @@ def dirac_module(theta: ThetaLike, N: int) -> BoxFredholmModule:
     return BoxFredholmModule(dirac_data(theta, N))
 
 
-#: (theta, N) -> the unconjugated trace-theta pass; the key is all it reads
+#: (theta, N) -> the trace-theta pass; the key is all it reads
 _dirac_cache: dict = {}
 
 
@@ -300,11 +279,11 @@ def _mirror_polish(p: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return w, vec
 
 
-def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
+def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     """One trace-theta box pass over the box rep."""
     N = rep.N
     key = (rep.theta, N)
-    if phases is None and key in _dirac_cache:
+    if key in _dirac_cache:
         return _dirac_cache[key]
     # a pass peaks at 61-71 bytes per box matrix entry (ru_maxrss, N <= 24)
     _refuse_beyond_memory(72 * rep.dim**2, f"a box pass at N = {N}")
@@ -326,10 +305,6 @@ def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
     if mirror > ADJOINT_TOL:
         raise NotAProjection(f"mirror defect {mirror:.2e} above {ADJOINT_TOL}")
     w, wmat = _mirror_polish(poly.realize_box(rep), N)
-    if phases is not None:
-        # the eigenbasis of the conjugated p; f0 and the interior mass are
-        # diagonal, so t and the masses below do not change
-        wmat = phases[:, None] * wmat
     gap = float(np.abs(w - 0.5).min())
     if gap <= PROJECTION_TOL:
         # rounding alone decides which side of the cut that eigenvector
@@ -370,8 +345,7 @@ def _dirac_single(rep: TruncatedZ2Rep, phases: Optional[np.ndarray]) -> dict:
         "gap_half": gap,
         "build_defect": build_defect,
     }
-    if phases is None:
-        _dirac_cache[key] = out
+    _dirac_cache[key] = out
     return out
 
 
@@ -391,7 +365,7 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
     rep = module.base
     N = rep.N
     if p == "trace-theta":
-        first = _dirac_single(rep, module.phases)
+        first = _dirac_single(rep)
         value = first["value"]
         details = {k: v for k, v in first.items() if k != "value"}
     elif p == "one":
@@ -403,44 +377,32 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
     # "one" compresses to an exact unitary: no recheck
     if stability_check and p == "trace-theta":
         _recheck(module, value, details, lambda n: _dirac_single(
-            dirac_data(rep.theta, n), None)["value"])
+            dirac_data(rep.theta, n))["value"])
     return PairingResult(value, "compressed-index", N, DIRAC_RANK_TOL,
                          stability_check, details)
 
 
 # --- conjugation ---------------------------------------------------------------
 
-def _unit_phases(phases: Sequence[complex], size: int) -> np.ndarray:
-    """A checked conjugation: one unit-modulus phase per basis vector."""
-    ph = np.asarray(phases, dtype=complex)
-    if ph.shape != (size,):
-        raise InvalidInput(f"{ph.size} phases for a space of dimension {size}")
-    if np.abs(np.abs(ph) - 1.0).max() > 1e-12:
-        raise NotUnitary("conjugating phases must have unit modulus")
-    return ph
-
-
 def conjugate_module(module, phases: Sequence[complex]):
     """Conjugate every generator by a diagonal unitary diag(phases).
 
-    The half-line projection and the phase symmetry are diagonal, so they
-    commute with the conjugation; every pairing is left exactly invariant.
-    Odd and box modules record the phases; the odd count cannot see them.  The
-    canonical even module is returned unchanged once the phases pass their
-    checks: its pairing is the trace, which conjugation leaves exactly
-    invariant.  The phases have no counterpart at a larger truncation, so
-    pair a conjugated odd or box module with stability_check=False.
+    A K-homology class is a Fredholm module up to unitary equivalence, and
+    diag(phases) commutes with the grading, with the half-line projection
+    and with the phase symmetry, which are all diagonal.  The conjugated
+    module is therefore unitarily equivalent to the one given, with the
+    same F and grading, and every pairing is exactly invariant: the module
+    is returned unchanged once the phases pass their checks.
     """
-    recorded = isinstance(module, (OddFredholmModule, BoxFredholmModule))
-    if recorded:
+    if isinstance(module, (OddFredholmModule, BoxFredholmModule)):
         size = module.base.dim
     elif isinstance(module, EvenFredholmModule):
         size = module.fiber_dim
     else:
         raise UnsupportedForm(f"cannot conjugate {type(module).__name__}")
-    ph = _unit_phases(phases, size)
-    if not recorded:
-        return module
-    if module.phases is not None:
-        ph = ph * module.phases  # conjugations compose
-    return dataclasses.replace(module, phases=ph)
+    ph = np.asarray(phases, dtype=complex)
+    if ph.shape != (size,):
+        raise InvalidInput(f"{ph.size} phases for a space of dimension {size}")
+    if np.abs(np.abs(ph) - 1.0).max() > 1e-12:
+        raise NotUnitary("conjugating phases must have unit modulus")
+    return module

@@ -236,11 +236,17 @@ class TorusPolynomial:
     def lam(self) -> complex:
         return cmath.exp(2j * math.pi * self.theta)
 
+    def _same_angle(self, theta: float) -> None:
+        if theta != self.theta:
+            raise InvalidInput(f"theta = {theta} does not match the polynomial's "
+                               f"{self.theta}")
+
     def _degrees(self, axis: int) -> np.ndarray:
         """The exponents -M..M of U (axis 0) or -L..L of V (axis 1)."""
         return np.arange(self.c.shape[axis]) - self.c.shape[axis] // 2
 
     def __add__(self, other: "TorusPolynomial") -> "TorusPolynomial":
+        self._same_angle(other.theta)
         shape = np.maximum(self.c.shape, other.c.shape)
         out = np.zeros(shape, dtype=complex)
         for c in (self.c, other.c):
@@ -249,6 +255,7 @@ class TorusPolynomial:
         return TorusPolynomial(self.theta, out)
 
     def __mul__(self, other: "TorusPolynomial") -> "TorusPolynomial":
+        self._same_angle(other.theta)
         a, b = self.c, other.c
         out = np.zeros(np.add(a.shape, b.shape) - 1, dtype=complex)
         for j1, n1 in enumerate(self._degrees(1)):
@@ -270,9 +277,10 @@ class TorusPolynomial:
         Matrix elements are those of the untruncated operator between box
         sites, so interior columns carry no truncation error at all.
         """
+        self._same_angle(rep.theta)
         N, w = rep.N, 2 * rep.N + 1
         _refuse_beyond_memory(16 * rep.dim**2, f"a box matrix at N = {N}")
-        lam = cmath.exp(2j * math.pi * rep.theta)
+        lam = self.lam
         out = np.zeros((rep.dim, rep.dim), dtype=complex)
         base = np.arange(-N, N + 1)
         for j, b in enumerate(self._degrees(1)):  # lambda^(mb), once per b

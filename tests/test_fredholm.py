@@ -49,6 +49,8 @@ class TestCanonicalEven:
             canonical_even({"U": 0.5 * np.eye(2), "V": np.eye(2)})
         with pytest.raises(InvalidInput):
             canonical_even({"U": np.eye(2)})
+        with pytest.raises(InvalidInput, match="square of equal size"):
+            canonical_even({"U": 1.0, "V": 1.0})
 
     def test_unit_class_counts_fiber_copies(self):
         assert even_pairing(trivial_even(), np.eye(1)).value == 1
@@ -278,8 +280,10 @@ class TestConjugationInvariance:
             a = odd_pairing(mod, word, stability_check=False).value
             b = odd_pairing(conj, word, stability_check=False).value
             assert a == b
-        with pytest.raises(InvalidInput):
-            odd_pairing(conj, "U")  # phases do not carry over to N + 4
+        # the conjugated module is the module, so its recheck at N + 4 runs
+        res = odd_pairing(conj, "U")
+        assert res.stable and res.value == odd_pairing(mod, "U").value == -1
+        assert res.details["N_recheck"] == 13
 
     def test_even_values_survive_diagonal_conjugation(self):
         rng = np.random.default_rng(29)
@@ -290,21 +294,6 @@ class TestConjugationInvariance:
         conj = conjugate_module(mod, phases)
         e = (phases[:, None] * spec.matrix) * phases.conj()[None, :]
         assert even_pairing(conj, e).value == even_pairing(mod, spec.matrix).value
-
-    def test_hand_built_modules_check_their_phases(self):
-        # construction applies the checks of conjugate_module, so zero or
-        # non-unit phases never reach a pairing (a zero box conjugation
-        # used to pair to 0 with sigma_min 0.0)
-        line, box = truncated_rep("0.45", 8), dirac_data("0.45", 8)
-        for phases in (np.zeros(17), np.full(17, 0.5)):
-            with pytest.raises(NotUnitary):
-                OddFredholmModule(line, 1, phases)
-        with pytest.raises(NotUnitary):
-            BoxFredholmModule(box, phases=np.zeros(289))
-        with pytest.raises(InvalidInput):
-            OddFredholmModule(line, 1, np.ones(5))
-        with pytest.raises(InvalidInput):
-            BoxFredholmModule(box, phases=np.ones(17))
 
     def test_phase_vector_validation(self):
         mod = canonical_odd(truncated_rep(GOLDEN, 5))
@@ -375,17 +364,34 @@ class TestDiracPairing:
         conj = conjugate_module(mod, phases)
         got = dirac_even_pairing(conj, "trace-theta", stability_check=False)
         assert got.value == plain.value
-        with pytest.raises(InvalidInput):
-            dirac_even_pairing(conj, "trace-theta")
+        # the conjugated module is the module, so its recheck at N + 4 runs
+        res = dirac_even_pairing(conj, "trace-theta")
+        assert res.stable and res.value == -1
+        assert res.details["N_recheck"] == 16
 
     def test_conjugation_keeps_the_evidence(self):
+        # a dense oracle: conjugate the realized projection by a random
+        # diagonal unitary D, take the complex eigh of its Hermitian part
+        # and the singular values of F0 compressed to its range; they must
+        # give the evidence the route reports for the conjugated module
         rng = np.random.default_rng(8)
-        mod = dirac_module(GOLDEN, 8)
-        plain = dirac_even_pairing(mod, "trace-theta", stability_check=False)
-        conj = conjugate_module(mod, np.exp(2j * np.pi * rng.random(17 * 17)))
-        got = dirac_even_pairing(conj, "trace-theta", stability_check=False)
-        for key in ("sigma_min", "sigma_next", "gap_half"):
-            assert abs(got.details[key] - plain.details[key]) <= 1e-12
+        for theta in (GOLDEN, "0.45"):
+            rep = dirac_data(theta, 12)
+            phases = np.exp(2j * np.pi * rng.random(rep.dim))
+            got = dirac_even_pairing(conjugate_module(BoxFredholmModule(rep), phases),
+                                     "trace-theta", stability_check=False)
+            assert got.value == -1
+            K = min(max(6, rep.N // 3), rep.N // 2)  # the box pass's cutoff
+            p = rieffel_polynomial(rep.theta, K)[0].realize_box(rep)
+            p = (phases[:, None] * p) * phases.conj()[None, :]
+            w, q = np.linalg.eigh((p + p.conj().T) / 2)
+            q = q[:, w >= 0.5]
+            s = np.linalg.svd(q.conj().T @ (rep.F0_diag[:, None] * q),
+                              compute_uv=False)
+            oracle = {"rank": q.shape[1], "sigma_min": s[-1], "sigma_next": s[-2],
+                      "gap_half": np.abs(w - 0.5).min()}
+            for key, want in oracle.items():
+                assert abs(got.details[key] - want) <= 1e-12, key
 
     @pytest.mark.parametrize("N", [4, 6])
     @pytest.mark.parametrize("theta", [GOLDEN, "0.45"])

@@ -200,6 +200,16 @@ class TestTorusPolynomial:
         assert back.theta == x.theta and back.c.shape == x.c.shape
         assert np.abs(back.c - x.c).max() <= 1e-15
 
+    def test_angles_never_mix(self):
+        # the product would keep its left factor's angle and the box would
+        # twist with the rep's: both refuse a second angle instead
+        u, v = poly_from_dict(0.4, {(1, 0): 1.0}), poly_from_dict(0.3, {(0, 1): 1.0})
+        p = rieffel_polynomial(0.3, 4)[0]
+        for mixed in (lambda: v * u, lambda: u * v, lambda: u + v,
+                      lambda: p.realize_box(dirac_data(0.7, 4))):
+            with pytest.raises(InvalidInput, match="does not match"):
+                mixed()
+
     def test_trace_property_on_random_polynomials(self):
         rng = np.random.default_rng(3)
         th = float(rng.random())
