@@ -10,7 +10,7 @@ integer / rational arithmetic:
 * cohomology coefficient pairs pull back with M^{-1} = [[0, 1], [1, -m]],
   giving the inverse-limit functional that pairs 1 with the image of the
   identity and 0 with the image of the level-1 minimal projection;
-* trace weights transport backwards from a far horizon and normalize at
+* trace weights are the last convergent of a tail expansion normalized at
   the target level, which lands exactly on a convergent of theta.
 
 A sign-twisted closed form (-1)^n (-q_{n-1}, q_n) for the coefficient
@@ -247,42 +247,31 @@ class TraceWeightVector:
         }
 
 
-def _transport_weights(tower: BratteliTower, n: int, horizon: int) -> tuple:
-    s = (1, 0)
-    for k in range(horizon - 1, n - 1, -1):
-        s = _mv(tower.step(k).matrix, s)
-    lv = tower.level(n)
-    total = s[0] * lv.dim_big + s[1] * lv.dim_small
-    return (Fraction(s[0], total), Fraction(s[1], total))
-
-
 def trace_weights(tower: BratteliTower, n: int,
                   horizon: Optional[int] = None) -> TraceWeightVector:
     """Weights making the level-n trace consistent far up the tower.
 
-    The unit weight vector at the horizon is transported down with the
-    multiplicity matrices and normalized so the identity has trace 1.
-    With no explicit horizon the transport is extended until the big
-    weight moves by less than 1e-12 between horizons (or the tower ends).
+    The unit weight vector at horizon h, carried down by M_n ... M_{h-1},
+    is (q, p) of the tail expansion [0; a_{n+1}, ..., a_h], so the weights
+    are (q, p) / (q q_n + p q_{n-1}).  Without a horizon, h grows until the
+    big weight moves by at most 1e-12 (or the tower ends).
     """
-    tower.level(n)
-    if horizon is not None:
-        if horizon < n + 2:
-            raise HorizonTooSmall(f"horizon {horizon} < level + 2 = {n + 2}")
-        if horizon > tower.depth:
-            raise InvalidInput(
-                f"horizon {horizon} beyond tower depth {tower.depth}")
-        beta = _transport_weights(tower, n, horizon)
-        return TraceWeightVector(n, horizon, beta[0], beta[1])
-    h = min(tower.depth, n + 30)
-    if h < n + 2:
-        raise HorizonTooSmall(
-            f"tower depth {tower.depth} leaves no room above level {n}")
-    beta = _transport_weights(tower, n, h)
-    while h < tower.depth:
-        nxt = _transport_weights(tower, n, h + 1)
-        moved = abs(nxt[0] - beta[0])
-        beta, h = nxt, h + 1
-        if moved <= Fraction(1, 10**12):
-            break
-    return TraceWeightVector(n, h, beta[0], beta[1])
+    lv = tower.level(n)
+    if horizon is not None and horizon < n + 2:
+        raise HorizonTooSmall(f"horizon {horizon} < level + 2 = {n + 2}")
+    if horizon is not None and horizon > tower.depth:
+        raise InvalidInput(f"horizon {horizon} beyond tower depth {tower.depth}")
+    if tower.depth < n + 2:  # only reached without a horizon
+        raise HorizonTooSmall(f"tower depth {tower.depth} leaves no room above level {n}")
+    first = horizon or min(tower.depth, n + 30)
+    p, q, p0, q0 = 0, 1, 1, 0  # convergents 0 and -1 of the tail expansion
+    weights = None
+    for h in range(n + 1, (horizon or tower.depth) + 1):
+        a = tower.digits[h - 1]
+        p, q, p0, q0 = a * p + p0, a * q + q0, p, q
+        if h >= first:
+            total = q * lv.dim_big + p * lv.dim_small
+            last, weights = weights, (Fraction(q, total), Fraction(p, total))
+            if last and abs(weights[0] - last[0]) <= Fraction(1, 10**12):
+                break
+    return TraceWeightVector(n, h, *weights)

@@ -29,7 +29,7 @@ from .af_tower import build_tower, inverse_limit_coefficients, pairing_along_tow
 from .errors import InputError, InstabilityError, InvalidInput, MathCheckError
 from .exact_arith import cf_expand, convergents, golden_string, parse_theta
 from .fredholm import (
-    canonical_even,
+    EvenFredholmModule,
     canonical_odd,
     dirac_even_pairing,
     dirac_module,
@@ -167,32 +167,37 @@ def cmd_pair(args) -> dict:
     parse_theta(theta)  # z0 reads no angle, but junk is rejected everywhere
     module, klass = args.module, args.klass
     classes = _CLASSES[module]
-    odd = classes == ("U", "V")
-    if args.power != 1 and not odd:
-        raise InvalidInput(f"module {module} takes no --power")
+    odd, clock = classes == ("U", "V"), module in ("z0", "z0prime")
+    # the clock modules are exact: no truncation to set or recheck
+    for option, used, read in (("--power", args.power != 1, odd),
+                               ("--N", args.N is not None, not clock),
+                               ("--no-stability", args.no_stability, not clock)):
+        if used and not read:
+            raise InvalidInput(f"module {module} takes no {option}")
     if klass not in classes:
         raise InvalidInput(
             f"module {module} pairs with classes {' and '.join(classes)}")
+    N = 16 if args.N is None else args.N
     if odd:
-        mod = canonical_odd(truncated_rep(theta, args.N, module))
-        res = odd_pairing(mod, f"{klass}^{args.power}",
-                          stability_check=not args.no_stability)
-    elif module == "dirac":
-        res = dirac_even_pairing(dirac_module(theta, args.N),
-                                 "one" if klass == "1" else "trace-theta",
-                                 stability_check=not args.no_stability)
-    else:
-        # z0 is the clock module at q = 1, where the class p is zero
+        res = odd_pairing(canonical_odd(truncated_rep(theta, N, module)),
+                          f"{klass}^{args.power}", stability_check=not args.no_stability)
+    elif clock:
+        # a clock module is its dimension q; z0 is the one at q = 1, where p is 0
         rep = clock_shift(0, 1) if module == "z0" else _clock_rep(args.theta)
-        # refused before any q×q build: the projection's estimate, then U's and V's
-        if klass == "p" and module == "z0prime":
-            e = rieffel_projection(rep.theta, rep).matrix
-        mod = canonical_even({"U": rep.U, "V": rep.V})
         if klass == "1":
+            # the identity is paired like any class, so its trace and defects
+            # are measured by the same code, at 64 q^2 bytes (ru_maxrss)
+            _refuse_beyond_memory(64 * rep.q**2, f"the clock class 1 at q = {rep.q}")
             e = np.eye(rep.q)
         elif module == "z0":
             e = np.zeros((1, 1))
-        res = even_pairing(mod, e)
+        else:
+            e = rieffel_projection(rep.theta, rep).matrix
+        res = even_pairing(EvenFredholmModule(rep.q), e)
+    else:
+        res = dirac_even_pairing(dirac_module(theta, N),
+                                 "one" if klass == "1" else "trace-theta",
+                                 stability_check=not args.no_stability)
     return {"module": module, "class": klass, "theta": theta,
             "result": res.to_json_obj()}
 
@@ -300,9 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--theta", default="golden")
     c.add_argument("--power", type=int, default=1,
                    help="exponent for the U/V classes")
-    c.add_argument("--N", type=int, default=16, help="truncation radius")
+    c.add_argument("--N", type=int,
+                   help="truncation radius of z1, z1prime and dirac (default 16)")
     c.add_argument("--no-stability", action="store_true",
-                   help="skip the larger-truncation recomputation")
+                   help="skip the larger-truncation recomputation of z1, z1prime and dirac")
 
     c = sub.add_parser("sequence", help="exactness reports for builtin sequences")
     c.add_argument("--which", required=True, choices=["khomology", "ktheory"])

@@ -93,7 +93,7 @@ class ClockShiftRep:
     def lam(self) -> complex:
         return cmath.exp(2j * math.pi * self.m / self.q)
 
-    # each first read estimates the pair, which every caller reads
+    # each first read estimates the pair, which a dump reads; pairings read V at most
     @cached_property
     def U(self) -> np.ndarray:
         _refuse_beyond_memory(32 * self.q**2, f"the clock rep at q = {self.q}")
@@ -397,8 +397,9 @@ def rieffel_projection(theta: ThetaLike, rep) -> RieffelProjectionSpec:
     j = np.arange(q)
     w = np.exp(2j * math.pi * np.outer(j, j) / q) / math.sqrt(q)
     xs = (-j / q) % 1.0
-    fu = w @ np.diag([f(x) for x in xs]) @ w.conj().T
-    gu = w @ np.diag([g(x) for x in xs]) @ w.conj().T
+    # (w * samples) scales column j by samples[j]: w @ diag(samples) to the bit
+    fu = (w * [f(x) for x in xs]) @ w.conj().T
+    gu = (w * [g(x) for x in xs]) @ w.conj().T
     vg = rep.V @ gu
     p = fu + vg + vg.conj().T
     idem = _op_norm(p @ p - p)

@@ -198,8 +198,10 @@ class TestPairCommand:
     @pytest.mark.parametrize("module", ["z0", "z0prime", "z1", "z1prime", "dirac"])
     @pytest.mark.parametrize("klass", ["1", "p", "U", "V"])
     def test_pairing_table(self, capsys, module, klass):
+        # the clock modules take no --N
+        size = () if module in ("z0", "z0prime") else ("--N", "3")
         code, out, err = run_cli(capsys, "pair", "--module", module, "--class",
-                                 klass, "--N", "3", "--theta", "2/7")
+                                 klass, *size, "--theta", "2/7")
         # exit 2 exactly off the table; a pairing on it may still be refused
         # as unstable (exit 3), which is not this test's business
         odd = module in ("z1", "z1prime")
@@ -242,6 +244,26 @@ class TestPairCommand:
                                  "--power", "33", "--N", "16")
         assert code == 3 and out == ""
         assert "bandwidth 33" in err
+
+    @pytest.mark.parametrize("module,klass", [("z0", "1"), ("z0prime", "p")])
+    @pytest.mark.parametrize("option", [("--N", "3"), ("--no-stability",)],
+                             ids=["N", "no-stability"])
+    def test_clock_modules_refuse_truncation_options(self, capsys, module, klass,
+                                                     option):
+        # a clock module is exact and has no truncation to set or recheck
+        code, out, err = run_cli(capsys, "pair", "--module", module, "--class",
+                                 klass, "--theta", "2/5", *option)
+        assert (code, out) == (2, "")
+        assert f"module {module} takes no {option[0]}" in err
+
+    @pytest.mark.parametrize("module,klass", [("dirac", "1"), ("z1", "U")])
+    def test_truncated_modules_take_truncation_options(self, capsys, module, klass):
+        code, out, _ = run_cli(capsys, "pair", "--module", module, "--class", klass,
+                               "--theta", "0.3", "--N", "3", "--no-stability")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["truncation"] == 3
+        assert "N_recheck" not in result["details"]
 
     def test_clock_module_requires_exact_rational(self, capsys):
         code, _, err = run_cli(capsys, "pair", "--module", "z0prime",
@@ -481,16 +503,54 @@ def test_refusals_come_before_any_generator(capsys, monkeypatch, argv, maker):
 
 
 def test_clock_class_1_refuses_before_its_identity(capsys, monkeypatch):
-    # at q = 300 the clock generators (2.9 MB) exceed a 1 MiB ceiling: their
-    # estimate must refuse before the q x q identity that is the class 1
-    monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**20)
+    # 1 MiB holds neither the generators of q = 300 (32 q^2 = 2.9 MB) nor the
+    # class 1 pairing (64 q^2 = 5.8 MB); 4 MiB holds the generators only.  The
+    # class 1 reads no generator, so its own estimate must refuse under both,
+    # before the q x q identity is built
     sizes = []
     eye = np.eye
     monkeypatch.setattr(np, "eye", lambda n, *a, **k: sizes.append(n) or eye(n, *a, **k))
-    code, out, err = run_cli(capsys, "pair", "--module", "z0prime", "--class", "1",
-                             "--theta", "1/300")
-    assert (code, out) == (2, "") and "the clock rep at q = 300" in err
-    assert sizes == []
+    for ceiling in (2**20, 2**22):
+        monkeypatch.setattr(torus_rep, "_physical_memory", lambda c=ceiling: c)
+        code, out, err = run_cli(capsys, "pair", "--module", "z0prime", "--class", "1",
+                                 "--theta", "1/300")
+        assert (code, out) == (2, "") and "the clock class 1 at q = 300" in err
+        assert sizes == []
+
+
+@pytest.mark.parametrize("module,klass,theta", [
+    ("z0", "1", "2/7"), ("z0", "p", "2/7"), ("z0prime", "1", "13/40"),
+    ("z0prime", "p", "13/40")])
+def test_clock_pairings_read_only_what_they_pair(capsys, monkeypatch, module, klass,
+                                                  theta):
+    # the module is its dimension q, so no generator is built for it; the
+    # class p reads V into the projection, the class 1 reads neither
+    reps = []
+    make = cli.clock_shift
+    monkeypatch.setattr(cli, "clock_shift", lambda *a: reps.append(make(*a)) or reps[-1])
+    code, _, _ = run_cli(capsys, "pair", "--module", module, "--class", klass,
+                         "--theta", theta)
+    assert code == 0 and len(reps) == 1
+    built = set(vars(reps[0])) & {"U", "V"}
+    assert built == ({"V"} if (module, klass) == ("z0prime", "p") else set())
+
+
+def test_clock_pairings_match_the_generator_module(capsys):
+    # the library route: canonical_even checks the generators and returns
+    # the module the CLI builds from q alone
+    for q in range(1, 31):
+        for m in range(q):
+            if math.gcd(m, q) != 1:
+                continue
+            rep = torus_rep.clock_shift(m, q)
+            mod = fredholm.canonical_even({"U": rep.U, "V": rep.V})
+            for klass in ("1", "p") if q > 1 else ("1",):
+                e = (np.eye(q) if klass == "1" else
+                     torus_rep.rieffel_projection(rep.theta, rep).matrix)
+                want = json.loads(render_json(fredholm.even_pairing(mod, e).to_json_obj()))
+                code, out, _ = run_cli(capsys, "pair", "--module", "z0prime",
+                                       "--class", klass, "--theta", f"{m}/{q}")
+                assert code == 0 and json.loads(out)["result"] == want, (m, q)
 
 
 #: sha256 of stdout for calls whose output holds no BLAS-dependent float,

@@ -1,0 +1,145 @@
+"""Compare the CLI of this checkout with another checkout, call by call.
+
+    python3 tools/cli_sweep.py OTHER_ROOT
+
+For each checkout one subprocess imports that checkout's ``src/`` and runs
+every call in-process through ``ncg_torus.cli.main``, with one BLAS thread
+and ``NCG_TORUS_PRECISION`` unset.  The exit code, stdout and stderr are
+compared; stderr without its ``wall time:`` line.  Every call that differs
+is listed, and the script exits 1 if any does.  Standard library only.
+
+The call sets:
+
+* ``pinned``: the argvs of ``PINNED_STDOUT`` in ``tests/test_cli.py``;
+* ``clock``: ``pair --module z0prime`` for every coprime m/q with q <= 60
+  and both classes, plus ``pair --module z0`` with both classes;
+* ``light``: the ``light_cli`` tables of seeds 1-4 of
+  ``benchmark/workloads.py``;
+* ``tower``: golden and two decimals at depths 12-60, with the default
+  horizon and explicit ones.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DECIMALS = ("0.41421356237309504880168872420969807856967187537694807317667973799"
+            "07324784621070388503875343276415727",
+            "0.31830988618379067153776752674502872406891929148091289749533468811"
+            "77935952684530701802276055325061719")
+
+
+def pinned_calls() -> list:
+    with open(os.path.join(ROOT, "tests", "test_cli.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "PINNED_STDOUT" for t in node.targets):
+            return [list(argv) for argv, _, _ in ast.literal_eval(node.value)]
+    raise SystemExit("tests/test_cli.py holds no PINNED_STDOUT")
+
+
+def clock_calls() -> list:
+    calls = [["pair", "--module", "z0", "--class", k] for k in ("1", "p")]
+    for q in range(1, 61):
+        for m in range(q):
+            if math.gcd(m, q) == 1:
+                calls += [["pair", "--module", "z0prime", "--class", k,
+                           "--theta", f"{m}/{q}"] for k in ("1", "p")]
+    return calls
+
+
+def light_calls() -> list:
+    sys.path.insert(0, os.path.join(ROOT, "benchmark"))
+    sys.dont_write_bytecode = True  # leave the benchmark directory as it is
+    from workloads import LightCli
+
+    return [list(op[1]) for seed in (1, 2, 3, 4) for op in LightCli(None, seed).ops]
+
+
+def tower_calls() -> list:
+    calls = []
+    for theta in ("golden",) + DECIMALS:
+        for depth in range(12, 61, 6):
+            base = ["tower", "--theta", theta, "--depth", str(depth)]
+            for level in (1, 3):
+                calls += [base + ["--level", str(level)],
+                          base + ["--level", str(level), "--horizon", str(level + 2)],
+                          base + ["--level", str(level), "--horizon", str(depth)]]
+    return calls
+
+
+SETS = {"pinned": pinned_calls, "clock": clock_calls, "light": light_calls,
+        "tower": tower_calls}
+
+
+def run_here(src: str, calls: list) -> list:
+    """Each call's [exit code, stdout, stderr without the wall-time line]."""
+    sys.path.insert(0, src)
+    from ncg_torus.cli import main
+
+    results = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        kept = [ln for ln in err.getvalue().splitlines(True)
+                if not ln.startswith("wall time:")]
+        results.append([code, out.getvalue(), "".join(kept)])
+    return results
+
+
+def run_checkout(root: str, calls: list) -> list:
+    env = {k: v for k, v in os.environ.items() if k != "NCG_TORUS_PRECISION"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", os.path.join(root, "src")],
+        input=json.dumps(calls), capture_output=True, text=True, env=env,
+        cwd=root, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"the sweep of {root} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("other", nargs="?", help="root of the checkout to compare with")
+    p.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
+    args = p.parse_args()
+    if args.child:
+        json.dump(run_here(args.child, json.load(sys.stdin)), sys.stdout)
+        return 0
+    if args.other is None:
+        p.error("OTHER_ROOT is required")
+    calls = {name: make() for name, make in SETS.items()}
+    flat = [argv for argvs in calls.values() for argv in argvs]
+    here, there = run_checkout(ROOT, flat), run_checkout(args.other, flat)
+    differ, start = 0, 0
+    for name, argvs in calls.items():
+        n = len(argvs)
+        bad = [(argv, a, b) for argv, a, b in zip(
+            argvs, here[start:start + n], there[start:start + n]) if a != b]
+        start += n
+        differ += len(bad)
+        print(f"{name}: {n} calls, {len(bad)} differ")
+        for argv, a, b in bad:
+            fields = [f for f, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+            print(f"  {' '.join(argv)}: {', '.join(fields)} differ"
+                  f" (here exit {a[0]}, there exit {b[0]})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
