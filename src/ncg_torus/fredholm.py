@@ -8,8 +8,13 @@ Three computation routes, all returning integers:
   against the half-line projection E = [k >= 0], kernel dimensions counted
   exactly from the exponents on columns away from the edge ("kernel-index");
 * ``dirac_even_pairing``: the two-index box module; the projection is
-  polished spectrally, the phase operator is compressed to its range and
+  polished spectrally, the phase operator F0 is compressed to its range and
   near-kernel vectors are classified by interior mass ("compressed-index").
+  The pass stays real: the antiunitary mirror J (e_{m,n} -> e_{-m,n}, then
+  complex conjugation) fixes p, and F0 is J-odd off the origin, where it
+  is 1.  So in J's real basis p is real symmetric and F0 = i B + e_0 e_0^T
+  with B real, and the compression to p's kept eigenvectors q is
+  t = i q^T B q + q_0 q_0^T, q_0 the origin's row of q.
 
 Sign convention: the compression of a winding-one unitary has index -1
 (kernel on the adjoint side), and the box route matches it, so realized
@@ -30,25 +35,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidInput,
-    NonIntegerPairing,
-    NotAProjection,
-    NotUnitary,
-    RepresentationTooSmall,
-    UnstableIndex,
-    UnsupportedForm,
-)
-from .torus_rep import (
-    ThetaLike,
-    TruncatedZ2Rep,
-    TruncatedZRep,
-    _op_norm,
-    _refuse_beyond_memory,
-    dirac_data,
-    rieffel_polynomial,
-    truncated_rep,
-)
+from .errors import (InvalidInput, NonIntegerPairing, NotAProjection, NotUnitary,
+                     RepresentationTooSmall, UnstableIndex, UnsupportedForm)
+from .torus_rep import (ThetaLike, TruncatedZ2Rep, TruncatedZRep, _op_norm,
+                        _refuse_beyond_memory, dirac_data, rieffel_polynomial,
+                        truncated_rep)
 
 #: the odd route's reported rank tolerance; its compressions have singular
 #: values exactly 0 or 1, so its exact counts are the numbers below this
@@ -249,17 +240,17 @@ def dirac_module(theta: ThetaLike, N: int) -> BoxFredholmModule:
 _dirac_cache: dict = {}
 
 
-def _mirror_polish(p: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues of the box projection p, and its eigenvectors at or
-    above 1/2 in the box basis.
-
-    The mirror e_{m,n} -> e_{-m,n} composed with complex conjugation maps
-    U -> U*, V -> V and fixes p (the caller checks this on p's coefficients),
-    so in the basis (e_a + e_a')/sqrt2, i(e_a - e_a')/sqrt2 (m_a > 0, a' the
-    mirror of a) and e_z (m_z = 0) p is real symmetric: one real eigh.
+def _mirror_polish(poly, rep: TruncatedZ2Rep) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the box projection p (the polynomial realized on the
+    box) and its eigenvectors at or above 1/2, real, in the mirror basis
+    c_a = (e_a + e_a')/sqrt2, s_a = i(e_a - e_a')/sqrt2 (m_a > 0, a' the
+    mirror of a), then e_{0,n}.  J fixes p (the caller checks this on p's
+    coefficients), so p is real symmetric there: one real eigh, run after p
+    itself is freed.
     """
-    side = 2 * N + 1
+    N, side = rep.N, 2 * rep.N + 1
     h, hi = N * side, (N + 1) * side  # m < 0 is [0, h), m = 0 is [h, hi)
+    p = poly.realize_box(rep)
     x = p[hi:, hi:]
     y = p[hi:, :h].reshape(h, N, side)[:, ::-1].reshape(h, h)  # p[a, b']
     s = np.zeros(p.shape)  # only the upper triangle is read
@@ -269,14 +260,28 @@ def _mirror_polish(p: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     s[:h, 2 * h:] = np.sqrt(2) * p[hi:, h:hi].real
     s[h:2 * h, 2 * h:] = np.sqrt(2) * p[hi:, h:hi].imag
     s[2 * h:, 2 * h:] = p[h:hi, h:hi].real
+    del p, x, y
     w, q = np.linalg.eigh(s, UPLO="U")
-    q = q[:, w >= 0.5]
-    upper = (q[:h] + 1j * q[h:2 * h]) / np.sqrt(2)
-    vec = np.empty((p.shape[0], q.shape[1]), dtype=complex)
-    vec[hi:] = upper
-    vec[:h] = upper.conj().reshape(N, side, -1)[::-1].reshape(h, -1)
-    vec[h:hi] = q[2 * h:]
-    return w, vec
+    return w, q[:, w >= 0.5]
+
+
+def _small_singular_vectors(t: np.ndarray, gram: np.ndarray, small: np.ndarray,
+                            left: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left singular vectors of t for its singular values
+    ``small`` (all below DIRAC_RANK_TOL), gram = t^H t.  One solve at each
+    exact shift sigma^2 is inverse iteration that converges in one step, as
+    the next value squared lies far above; the Ritz vectors of t on their
+    span separate a cluster.  Left vectors are t v / sigma, or the right
+    ones of t^H when a sigma is too small for that quotient.
+    """
+    start = np.random.default_rng(0).standard_normal((t.shape[0], small.size))
+    shifted = [np.linalg.solve(gram - sig**2 * np.eye(t.shape[0]), start[:, i])
+               for i, sig in enumerate(small)]
+    basis = np.linalg.qr(np.column_stack(shifted))[0]
+    u, sig, wh = np.linalg.svd(t @ basis, full_matrices=False)
+    if left and sig.min() <= 1e-8:
+        u = _small_singular_vectors(t.conj().T, t @ t.conj().T, small, False)[0]
+    return basis @ wh.conj().T, u
 
 
 def _dirac_single(rep: TruncatedZ2Rep) -> dict:
@@ -285,8 +290,9 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     key = (rep.theta, N)
     if key in _dirac_cache:
         return _dirac_cache[key]
-    # a pass peaks at 61-71 bytes per box matrix entry (ru_maxrss, N <= 24)
-    _refuse_beyond_memory(72 * rep.dim**2, f"a box pass at N = {N}")
+    # a pass peaks at 41-42 bytes per box matrix entry above the
+    # interpreter's base at N = 24 and 32 (ru_maxrss); 48 leaves 15 % margin
+    _refuse_beyond_memory(48 * rep.dim**2, f"a box pass at N = {N}")
     # tail quality wants K large, the exactness margin wants 2K <= N,
     # which this rule keeps at every N
     K = min(max(6, N // 3), N // 2)
@@ -294,57 +300,55 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     if N < 2:
         raise RepresentationTooSmall(
             f"box N = {N} too small for Fourier cutoff K = {K}")
-    # idempotency is measured away from the boundary, on the columns
-    # |m| <= N - 2K, |n| <= N - 2 whose image under p^2 cannot touch the
-    # truncation edge; each such column of p^2 - p holds exactly the
-    # coefficients of poly*poly - poly times unit phases
-    resid = poly * poly + poly.scale(-1)
-    build_defect = float(np.linalg.norm(resid.c))
+    # each column |m| <= N - 2K, |n| <= N - 2 of p^2 - p, clear of the edge,
+    # holds exactly the coefficients of poly*poly - poly times unit phases
+    build_defect = float(np.linalg.norm((poly * poly + poly.scale(-1)).c))
     # the real polish is exact only for a mirror-symmetric polynomial
     mirror = float(np.abs(poly.c[::-1, :] - poly.c.conj()).max())
     if mirror > ADJOINT_TOL:
         raise NotAProjection(f"mirror defect {mirror:.2e} above {ADJOINT_TOL}")
-    w, wmat = _mirror_polish(poly.realize_box(rep), N)
+    w, q = _mirror_polish(poly, rep)
     gap = float(np.abs(w - 0.5).min())
     if gap <= PROJECTION_TOL:
         # rounding alone decides which side of the cut that eigenvector
         # falls on, and with it the rank of the compression
         raise UnstableIndex(
             f"an eigenvalue of the box projection lies {gap:.1e} from 1/2")
-    rank = wmat.shape[1]
+    rank = q.shape[1]
     if rank in (0, rep.dim):  # the compression is then 0 or the phase itself
         raise UnstableIndex(f"the box projection at N = {N} has rank {rank} "
                             f"of {rep.dim}, so its compression decides nothing")
-    t = wmat.conj().T @ (rep.F0_diag[:, None] * wmat)
-    us, s, vh = np.linalg.svd(t)
-    small = np.nonzero(s < DIRAC_RANK_TOL)[0]
-    margin = max(2, N // 4)
-    side = 2 * N + 1
-
-    def interior_mass(vec_box: np.ndarray) -> float:
-        prob = (np.abs(vec_box) ** 2).reshape(side, side)
-        r = N - margin
-        return float(prob[N - r:N + r + 1, N - r:N + r + 1].sum())
-
+    # t = i q^T B q + q_0 q_0^T (module docstring): on (c_a, s_a) with
+    # F0(a) = x + iy, B c_a = y c_a - x s_a and B s_a = x c_a + y s_a
+    h, ns = N * (2 * N + 1), np.arange(-N, N + 1)
+    f = rep.F0_diag[-h:, None]  # F0 at the sites with m > 0
+    qc, qs, q0 = q[:h], q[h:2 * h], q[2 * h:]
+    r1 = q.T @ np.concatenate([f.imag * qc + f.real * qs, f.imag * qs - f.real * qc,
+                               np.sign(ns)[:, None] * q0])
+    o = q0[N]
+    t = 1j * r1 + np.outer(o, o)
+    s = np.linalg.svd(t, compute_uv=False)
+    small = s[s < DIRAC_RANK_TOL]
     ker = coker = 0
-    for i in small:
-        if interior_mass(wmat @ vh[i].conj()) >= INTERIOR_MASS_THRESHOLD:
-            ker += 1
-        if interior_mass(wmat @ us[:, i]) >= INTERIOR_MASS_THRESHOLD:
-            coker += 1
+    if small.size:
+        c = r1.T @ o  # t^H t = r1^T r1 + |o|^2 o o^T + i (o c^T - c o^T)
+        gram = r1.T @ r1 + (o @ o) * np.outer(o, o) + 1j * (np.outer(o, c) - np.outer(c, o))
+        # the window |m|, |n| <= N - margin is mirror symmetric, so a box
+        # vector's interior mass is that of its mirror coordinates there
+        r = N - max(2, N // 4)
+        half = (np.arange(1, N + 1)[:, None] <= r) & (np.abs(ns) <= r)
+        inside = np.concatenate([half.ravel(), half.ravel(), np.abs(ns) <= r])
+        mass = [((q @ z.real)[inside] ** 2 + (q @ z.imag)[inside] ** 2).sum(axis=0)
+                for z in _small_singular_vectors(t, gram, small)]
+        ker, coker = (int((m >= INTERIOR_MASS_THRESHOLD).sum()) for m in mass)
     if ker and coker:
         # the classification takes one side of each near-kernel pair for
         # bulk and the other for edge; bulk on both sides breaks that
         raise UnstableIndex(f"the box pass at N = {N} counts bulk modes on both "
                             f"sides (kernel {ker}, cokernel {coker})")
-    out = {
-        "value": ker - coker, "kernel": ker, "cokernel": coker,
-        "rank": rank,
-        "sigma_min": float(s[-1]) if s.size else None,
-        "sigma_next": float(s[-2]) if s.size > 1 else None,
-        "gap_half": gap,
-        "build_defect": build_defect,
-    }
+    out = {"value": ker - coker, "kernel": ker, "cokernel": coker, "rank": rank,
+           "sigma_min": float(s[-1]), "sigma_next": float(s[-2]) if rank > 1 else None,
+           "gap_half": gap, "build_defect": build_defect}
     _dirac_cache[key] = out
     return out
 
@@ -355,10 +359,6 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
 
     "trace-theta" is the Rieffel class, rebuilt at every truncation size;
     "one" is the unit class.
-    Near-kernel singular vectors of the compressed phase are kept only when
-    at least half their mass sits margin sites away from the box edge; the
-    edge modes they discard are truncation artifacts with no
-    infinite-volume counterpart.
     """
     if not isinstance(module, BoxFredholmModule):
         raise UnsupportedForm("this pairing needs the box module")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from ncg_torus import fredholm
+from ncg_torus import fredholm, torus_rep
 from ncg_torus.errors import (
     InvalidInput,
     NotAProjection,
@@ -34,9 +34,21 @@ from ncg_torus.torus_rep import (
     truncated_rep,
 )
 
+from box_oracle import dense_box_pass
 from line_oracle import dense_odd_counts, poly_as_dict, poly_from_dict
 
 GOLDEN = "0.618033988749894848204586834365638117720309179805762862135"
+#: twelve angles of the benchmark's vetted box pool, every eighth one
+VETTED = (GOLDEN, "0.3525", "0.3800", "0.4150", "0.4400", "0.4700", "0.4950",
+          "0.5200", "0.5500", "0.5775", "0.6050", "0.6375")
+#: the vetted angles, the small-N and default-N calls that certify a wrong
+#: 0, and one call per refusal of the pass (both sides, the 1/2 cut, rank 0
+#: and full rank)
+BOX_ORACLE_CASES = (
+    [(theta, N) for N in (12, 16) for theta in VETTED]
+    + [(GOLDEN, 2), (GOLDEN, 6), ("0.4", 8), ("0.455", 8),
+       ("0.05", 16), ("0.3", 16), ("0.2", 12), ("0.1", 16), ("1/2", 12),
+       ("0.01", 16), ("0.97", 8), ("1e-5", 4)])
 
 
 def trivial_even():
@@ -397,8 +409,19 @@ class TestDiracPairing:
     @pytest.mark.parametrize("theta", [GOLDEN, "0.45"])
     def test_real_polish_reproduces_the_complex_route(self, N, theta):
         rep = dirac_data(theta, N)
-        p = rieffel_polynomial(rep.theta, N // 2)[0].realize_box(rep)
-        w, vec = fredholm._mirror_polish(p, N)
+        poly = rieffel_polynomial(rep.theta, N // 2)[0]
+        p = poly.realize_box(rep)
+        w, q = fredholm._mirror_polish(poly, rep)
+        # unfold the kept real columns, on c_a = (e_a + e_a')/sqrt2 and
+        # s_a = i(e_a - e_a')/sqrt2 for m_a > 0 and then on e_{0,n}, back
+        # to the box basis
+        side = 2 * N + 1
+        h, hi = N * side, (N + 1) * side  # m < 0 is [0, h), m = 0 is [h, hi)
+        upper = (q[:h] + 1j * q[h:2 * h]) / np.sqrt(2)
+        vec = np.empty((rep.dim, q.shape[1]), dtype=complex)
+        vec[hi:] = upper
+        vec[:h] = upper.conj().reshape(N, side, -1)[::-1].reshape(h, -1)
+        vec[h:hi] = q[2 * h:]
         ref_w, ref_q = np.linalg.eigh((p + p.conj().T) / 2)
         assert np.abs(w - ref_w).max() <= 1e-12
         kept = ref_q[:, ref_w >= 0.5]
@@ -406,6 +429,56 @@ class TestDiracPairing:
         assert np.abs(vec.conj().T @ vec - np.eye(vec.shape[1])).max() <= 1e-12
         proj = vec @ vec.conj().T
         assert np.abs(proj - kept @ kept.conj().T).max() <= 1e-10
+
+    @pytest.mark.parametrize("theta,N", BOX_ORACLE_CASES)
+    def test_pass_matches_the_dense_oracle(self, theta, N, monkeypatch):
+        # the pass's real compression, values-only SVD, shifted solves and
+        # mirror-basis masses against complex eigh, full SVD and box masses
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        try:
+            want = dense_box_pass(theta, N)
+        except UnstableIndex:
+            with pytest.raises(UnstableIndex):
+                fredholm._dirac_single(dirac_data(theta, N))
+            return
+        got = fredholm._dirac_single(dirac_data(theta, N))
+        for key in ("value", "kernel", "cokernel", "rank"):
+            assert got[key] == want[key], key
+        for key in ("sigma_min", "sigma_next", "gap_half"):
+            assert abs(got[key] - want[key]) <= 1e-12, key
+
+    @pytest.mark.parametrize("planted", [(0.0, 0.01, 0.0101), (0.001, 0.02)])
+    def test_small_singular_vectors_match_a_full_svd(self, planted):
+        rng = np.random.default_rng(5)
+        n = 40
+
+        def unitary():
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            return np.linalg.qr(z)[0]
+
+        values = np.concatenate([rng.uniform(0.5, 1.0, n - len(planted)), planted])
+        t = (unitary() * values) @ unitary().conj().T
+        s = np.linalg.svd(t, compute_uv=False)
+        small = s[s < fredholm.DIRAC_RANK_TOL]
+        assert small.size == len(planted)
+        v, u = fredholm._small_singular_vectors(t, t.conj().T @ t, small)
+        ref_u, _, ref_vh = np.linalg.svd(t)
+        # both come in descending order of the singular value
+        for got, ref in ((v, ref_vh.conj().T), (u, ref_u)):
+            assert np.abs(got.conj().T @ got - np.eye(small.size)).max() <= 1e-10
+            for i, j in enumerate(range(n - small.size, n)):
+                proj = np.outer(got[:, i], got[:, i].conj())
+                assert np.abs(proj - np.outer(ref[:, j], ref[:, j].conj())).max() <= 1e-10
+
+    def test_pass_runs_under_its_memory_estimate(self, monkeypatch):
+        # a ceiling of 60 bytes per box entry, above the pass's estimate of
+        # 48: the pass runs and pairs -1
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        module = dirac_module("0.455", 8)
+        monkeypatch.setattr(torus_rep, "_physical_memory",
+                            lambda: 60 * module.base.dim**2)
+        res = dirac_even_pairing(module, "trace-theta", stability_check=False)
+        assert res.value == -1
 
     def test_mirror_asymmetric_projection_is_rejected(self, monkeypatch):
         def broken(theta, K):

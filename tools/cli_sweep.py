@@ -5,8 +5,11 @@
 For each checkout one subprocess imports that checkout's ``src/`` and runs
 every call in-process through ``ncg_torus.cli.main``, with one BLAS thread
 and ``NCG_TORUS_PRECISION`` unset.  The exit code, stdout and stderr are
-compared; stderr without its ``wall time:`` line.  Every call that differs
-is listed, and the script exits 1 if any does.  Standard library only.
+compared; stderr without its ``wall time:`` line.  Stdout is compared byte
+for byte, except in the ``box`` set: its floats depend on the BLAS build
+and may differ by 1e-12, while every other JSON value must be equal.
+Every call that differs is listed, and the script exits 1 if any does.
+Standard library only.
 
 The call sets:
 
@@ -16,7 +19,10 @@ The call sets:
 * ``light``: the ``light_cli`` tables of seeds 1-4 of
   ``benchmark/workloads.py``;
 * ``tower``: golden and two decimals at depths 12-60, with the default
-  horizon and explicit ones.
+  horizon and explicit ones;
+* ``box``: ``pair --module dirac --class p`` on the ``box_pair`` angle pool
+  of ``benchmark/workloads.py`` at N = 12, and on the small-N, default-N
+  and refused calls listed in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -58,12 +64,17 @@ def clock_calls() -> list:
     return calls
 
 
-def light_calls() -> list:
+def _workloads():
     sys.path.insert(0, os.path.join(ROOT, "benchmark"))
     sys.dont_write_bytecode = True  # leave the benchmark directory as it is
-    from workloads import LightCli
+    import workloads
 
-    return [list(op[1]) for seed in (1, 2, 3, 4) for op in LightCli(None, seed).ops]
+    return workloads
+
+
+def light_calls() -> list:
+    return [list(op[1]) for seed in (1, 2, 3, 4)
+            for op in _workloads().LightCli(None, seed).ops]
 
 
 def tower_calls() -> list:
@@ -78,8 +89,37 @@ def tower_calls() -> list:
     return calls
 
 
+def box_calls() -> list:
+    base = ["pair", "--module", "dirac", "--class", "p"]
+    calls = [base + ["--theta", a, "--N", "12"] for a in _workloads().BOX_ANGLES]
+    calls += [base + ["--N", "2"], base + ["--N", "6"],
+              base + ["--theta", "0.4", "--N", "8"], base + ["--theta", "0.2", "--N", "12"],
+              base + ["--theta", "0.3", "--N", "16"], base + ["--theta", "1e-5", "--N", "4"]]
+    return calls + [base + ["--theta", a] for a in ("0.05", "0.1", "0.9", "0.01",
+                                                     "0.97", "0.99")]
+
+
 SETS = {"pinned": pinned_calls, "clock": clock_calls, "light": light_calls,
-        "tower": tower_calls}
+        "tower": tower_calls, "box": box_calls}
+
+
+def same_up_to_floats(a, b) -> bool:
+    """Equal JSON values, floats within 1e-12 and keys in the same order."""
+    if type(a) is float and type(b) is float:
+        return abs(a - b) <= 1e-12
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_up_to_floats(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_up_to_floats, a, b))
+    return a == b
+
+
+def same_stdout(name: str, a: str, b: str) -> bool:
+    if name != "box" or not (a and b):
+        return a == b
+    return same_up_to_floats(json.loads(a), json.loads(b))
 
 
 def run_here(src: str, calls: list) -> list:
@@ -129,13 +169,16 @@ def main() -> int:
     differ, start = 0, 0
     for name, argvs in calls.items():
         n = len(argvs)
-        bad = [(argv, a, b) for argv, a, b in zip(
-            argvs, here[start:start + n], there[start:start + n]) if a != b]
+        bad = []
+        for argv, a, b in zip(argvs, here[start:start + n], there[start:start + n]):
+            same = (a[0] == b[0], same_stdout(name, a[1], b[1]), a[2] == b[2])
+            if not all(same):
+                bad.append((argv, a, b, same))
         start += n
         differ += len(bad)
         print(f"{name}: {n} calls, {len(bad)} differ")
-        for argv, a, b in bad:
-            fields = [f for f, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+        for argv, a, b, same in bad:
+            fields = [f for f, ok in zip(("exit", "stdout", "stderr"), same) if not ok]
             print(f"  {' '.join(argv)}: {', '.join(fields)} differ"
                   f" (here exit {a[0]}, there exit {b[0]})")
     return 1 if differ else 0
