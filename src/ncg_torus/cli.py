@@ -30,6 +30,7 @@ from .errors import InputError, InstabilityError, InvalidInput, MathCheckError
 from .exact_arith import cf_expand, convergents, golden_string, parse_theta
 from .fredholm import (
     EvenFredholmModule,
+    PairingResult,
     canonical_odd,
     dirac_even_pairing,
     dirac_module,
@@ -184,16 +185,13 @@ def cmd_pair(args) -> dict:
     elif clock:
         # a clock module is its dimension q; z0 is the one at q = 1, where p is 0
         rep = clock_shift(0, 1) if module == "z0" else _clock_rep(args.theta)
-        if klass == "1":
-            # the identity is paired like any class, so its trace and defects
-            # are measured by the same code, at 64 q^2 bytes (ru_maxrss)
-            _refuse_beyond_memory(64 * rep.q**2, f"the clock class 1 at q = {rep.q}")
-            e = np.eye(rep.q)
-        elif module == "z0":
-            e = np.zeros((1, 1))
-        else:
-            e = rieffel_projection(rep.theta, rep).matrix
-        res = even_pairing(EvenFredholmModule(rep.q), e)
+        if (module, klass) == ("z0prime", "p"):
+            res = even_pairing(EvenFredholmModule(rep.q),
+                               rieffel_projection(rep.theta, rep))
+        else:  # the identity, of trace q, or p at q = 1: exact, with no defect
+            n = rep.q if klass == "1" else 0
+            res = PairingResult(n, "trace-formula", rep.q, None, True, {
+                "raw_trace": float(n), "idempotency_defect": 0.0, "adjoint_defect": 0.0})
     else:
         res = dirac_even_pairing(dirac_module(theta, N),
                                  "one" if klass == "1" else "trace-theta",

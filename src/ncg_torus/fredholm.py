@@ -2,8 +2,9 @@
 
 Three computation routes, all returning integers:
 
-* ``even_pairing``: canonical even modules pair a projection with the
-  trace of its realization ("trace-formula" method);
+* ``even_pairing``: canonical even modules pair a projection with its
+  trace, measured on a realization or read off the clock projection's
+  blocks ("trace-formula" method);
 * ``odd_pairing``: hard-cutoff compression E u E of a unitary monomial
   against the half-line projection E = [k >= 0], kernel dimensions counted
   exactly from the exponents on columns away from the edge ("kernel-index");
@@ -37,9 +38,9 @@ import numpy as np
 
 from .errors import (InvalidInput, NonIntegerPairing, NotAProjection, NotUnitary,
                      RepresentationTooSmall, UnstableIndex, UnsupportedForm)
-from .torus_rep import (ThetaLike, TruncatedZ2Rep, TruncatedZRep, _op_norm,
-                        _refuse_beyond_memory, dirac_data, rieffel_polynomial,
-                        truncated_rep)
+from .torus_rep import (RieffelProjectionSpec, ThetaLike, TruncatedZ2Rep,
+                        TruncatedZRep, _op_norm, _refuse_beyond_memory, dirac_data,
+                        rieffel_polynomial, truncated_rep)
 
 #: the odd route's reported rank tolerance; its compressions have singular
 #: values exactly 0 or 1, so its exact counts are the numbers below this
@@ -129,27 +130,31 @@ def canonical_even(phi: dict) -> EvenFredholmModule:
     return EvenFredholmModule(d)
 
 
-def even_pairing(module: EvenFredholmModule, e: np.ndarray) -> PairingResult:
-    """Pair a realized projection with a canonical even module: Tr(e).
+def even_pairing(module: EvenFredholmModule, e) -> PairingResult:
+    """Pair a projection with a canonical even module: Tr(e).
 
-    e must be a matrix over the fiber (size a multiple of the fiber
-    dimension) that is a projection up to fixed tolerances.
+    e is a matrix over the fiber, or a clock ``RieffelProjectionSpec``
+    whose own trace and defects are read; its size must be a multiple of
+    the fiber dimension and it must be a projection up to fixed tolerances.
     """
     if not isinstance(module, EvenFredholmModule):
         raise UnsupportedForm("trace formula applies to canonical modules only")
-    e = np.asarray(e, dtype=complex)
-    if e.ndim != 2 or e.shape[0] != e.shape[1]:
-        raise InvalidInput("e must be a square matrix")
-    if e.shape[0] % module.fiber_dim != 0:
+    if isinstance(e, RieffelProjectionSpec):
+        size, raw = e.rep.q, e.trace * e.rep.q
+        adj, idem = e.defect_adjoint, e.defect_idempotent
+    else:
+        e = np.asarray(e, dtype=complex)
+        if e.ndim != 2 or e.shape[0] != e.shape[1]:
+            raise InvalidInput("e must be a square matrix")
+        size, raw = e.shape[0], float(np.trace(e).real)
+        adj, idem = _op_norm(e - e.conj().T), _op_norm(e @ e - e)
+    if size % module.fiber_dim != 0:
         raise InvalidInput(
-            f"size {e.shape[0]} is not a multiple of the fiber dim {module.fiber_dim}")
-    adj = _op_norm(e - e.conj().T)
+            f"size {size} is not a multiple of the fiber dim {module.fiber_dim}")
     if adj > ADJOINT_TOL:
         raise NotAProjection(f"adjoint defect {adj:.2e} above {ADJOINT_TOL}")
-    idem = _op_norm(e @ e - e)
     if idem > PROJECTION_TOL:
         raise NotAProjection(f"idempotency defect {idem:.2e} above {PROJECTION_TOL}")
-    raw = float(np.trace(e).real)
     nearest = round(raw)
     if abs(raw - nearest) > ROUND_TOL:
         raise NonIntegerPairing(f"trace {raw} is not within {ROUND_TOL} of an integer")

@@ -93,7 +93,7 @@ class ClockShiftRep:
     def lam(self) -> complex:
         return cmath.exp(2j * math.pi * self.m / self.q)
 
-    # each first read estimates the pair, which a dump reads; pairings read V at most
+    # each first read estimates the pair, which a dump reads; `pair` reads neither
     @cached_property
     def U(self) -> np.ndarray:
         _refuse_beyond_memory(32 * self.q**2, f"the clock rep at q = {self.q}")
@@ -346,13 +346,26 @@ def _bump_pair(theta: float, profile: str):
 
 @dataclass(frozen=True)
 class RieffelProjectionSpec:
-    """An assembled trace-theta projection p = f(U) + V g(U) + g(U)* V*
-    with the operator norms of p^2 - p and p - p*."""
+    """The clock projection p = f(U) + V g(U) + g(U)* V*: f and g at U's
+    eigenvalues, tau(p), the norms of p^2 - p and p - p*; ``matrix`` on first read."""
 
-    matrix: np.ndarray
+    rep: ClockShiftRep
+    f: np.ndarray
+    g: np.ndarray
     trace: float
     defect_idempotent: float
     defect_adjoint: float
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        q = self.rep.q  # 113-116 bytes an entry at q = 1000 and 2000 (ru_maxrss)
+        _refuse_beyond_memory(128 * q * q, f"the clock projection matrix at q = {q}")
+        j = np.arange(q)  # column k of w is U's eigenvector w_k
+        w = np.exp(2j * math.pi * np.outer(j, j) / q) / math.sqrt(q)
+        # (w * samples) scales column j by samples[j]: w @ diag(samples) to the bit
+        fu = (w * self.f) @ w.conj().T
+        vg = self.rep.V @ ((w * self.g) @ w.conj().T)
+        return fu + vg + vg.conj().T
 
 
 def _fourier_coeffs(fn, K: int) -> np.ndarray:
@@ -379,10 +392,12 @@ def rieffel_polynomial(theta: float, K: int) -> tuple[TorusPolynomial, float]:
 
 
 def rieffel_projection(theta: ThetaLike, rep) -> RieffelProjectionSpec:
-    """Build the trace-theta projection in a clock-shift representation by
-    exact functional calculus of the shift generator, with the
-    piecewise-linear profile.  The box route realizes
-    ``rieffel_polynomial`` instead."""
+    """The trace-theta projection on a clock rep, with the piecewise-linear
+    profile (the box route realizes ``rieffel_polynomial``).  U has the
+    eigenvectors w_k, of eigenvalue exp(2 pi i x_k) with x_k = -k/q mod 1, and
+    V sends w_k to w_{k+m}: there p is real symmetric, with 1x1 blocks f(x_k)
+    and, where g(x_k) != 0, 2x2 blocks [[f(x_k), g(x_k)], [g(x_k), f(x_{k+m})]],
+    which g(x) g(x + theta) = 0 keeps from chaining."""
     th = theta_to_float(theta)
     f, g, _ = _bump_pair(th, "piecewise-linear")
     if not isinstance(rep, ClockShiftRep):
@@ -390,22 +405,19 @@ def rieffel_projection(theta: ThetaLike, rep) -> RieffelProjectionSpec:
     if abs(rep.theta - th) > 1e-12:
         raise InvalidInput(
             f"theta = {th} does not match the representation's {rep.theta}")
-    q = rep.q
-    _refuse_beyond_memory(176 * q * q, f"the clock projection at q = {q}")  # ru_maxrss
-    # eigenbasis of the cyclic shift: column j has eigenvalue
-    # exp(-2 pi i j / q), i.e. circle coordinate x_j = -j/q mod 1
-    j = np.arange(q)
-    w = np.exp(2j * math.pi * np.outer(j, j) / q) / math.sqrt(q)
-    xs = (-j / q) % 1.0
-    # (w * samples) scales column j by samples[j]: w @ diag(samples) to the bit
-    fu = (w * [f(x) for x in xs]) @ w.conj().T
-    gu = (w * [g(x) for x in xs]) @ w.conj().T
-    vg = rep.V @ gu
-    p = fu + vg + vg.conj().T
-    idem = _op_norm(p @ p - p)
-    adj = _op_norm(p - p.conj().T)
-    tr = float(np.trace(p).real) / q
+    q, m = rep.q, rep.m % rep.q  # 58 bytes a sample at q = 10^6, 60-66 at 10^5
+    _refuse_beyond_memory(72 * q, f"the clock projection at q = {q}")  # ru_maxrss
+    xs = (-np.arange(q) / q) % 1.0
+    fs, gs = (np.fromiter(map(fn, map(float, xs)), float, q) for fn in (f, g))
+    top = np.flatnonzero(gs)  # the 2x2 blocks {k, k + m}
+    a, b, c = fs[top], gs[top], fs[(top + m) % q]
+    # p^2 - p on a block is [[x, z], [z, y]], of norm |x + y|/2 + hypot((x - y)/2, z)
+    x, y, z = a * a + b * b - a, c * c + b * b - c, b * (a + c - 1.0)
+    lone = fs[(gs == 0) & (np.roll(gs, m) == 0)]  # the 1x1 blocks
+    idem = float(np.concatenate([np.abs(lone * lone - lone),
+                                 np.abs(x + y) / 2 + np.hypot((x - y) / 2, z)]).max())
     if idem > 1e-8:
         raise RepresentationTooSmall(
             f"projection defect {idem:.2e} above 1e-8 at q = {q}")
-    return RieffelProjectionSpec(p, tr, idem, adj)
+    # p is real symmetric in the basis w_k, so p - p* is exactly 0
+    return RieffelProjectionSpec(rep, fs, gs, float(fs.sum()) / q, idem, 0.0)

@@ -470,11 +470,11 @@ class TestRepDumpCommand:
     ("rep-dump", "--rep", "dirac", "--theta", "0.3", "--N", "4"),
     ("rep-dump", "--rep", "z1", "--theta", "0.3", "--N", "100"),
     ("pair", "--module", "dirac", "--class", "p", "--N", "8"),
-    ("pair", "--module", "z0prime", "--class", "p", "--theta", "1/100"),
+    ("pair", "--module", "z0prime", "--class", "p", "--theta", "1/20000"),
 ], ids=["clock dump", "box dump", "line dump", "box pass", "clock projection"])
 def test_requests_beyond_memory_exit_2(capsys, monkeypatch, argv):
-    # a 1 MiB ceiling refuses each call before its dense build; without the
-    # guard each would need only a few MB
+    # a 1 MiB ceiling refuses each call before its build; without the guard
+    # each would need only a few MB
     monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**20)
     monkeypatch.setattr(fredholm, "_dirac_cache", {})  # a cached pass needs none
     code, out, err = run_cli(capsys, *argv)
@@ -485,13 +485,14 @@ def test_requests_beyond_memory_exit_2(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv,maker", [
     (("rep-dump", "--rep", "dirac", "--theta", "0.3", "--N", "4"), "dirac_data"),
     (("rep-dump", "--rep", "z1", "--theta", "0.3", "--N", "100"), "truncated_rep"),
-    (("pair", "--module", "z0prime", "--class", "p", "--theta", "1/100"),
+    (("pair", "--module", "z0prime", "--class", "p", "--theta", "1/20000"),
      "clock_shift"),
 ], ids=["box dump", "line dump", "clock projection"])
 def test_refusals_come_before_any_generator(capsys, monkeypatch, argv, maker):
-    # under a 1 MiB ceiling the generators alone would fit (105 kB, 646 kB,
-    # 320 kB) but the dump or the projection would not: the refusal must
-    # come from the rep's size, before U or V is built
+    # under a 1 MiB ceiling the box and line generators alone would fit
+    # (105 kB, 646 kB) but the dumps would not, and the clock projection's
+    # 72 bytes a sample would not either: each refusal must come from the
+    # rep's size, before U or V is built
     monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**20)
     reps = []
     make = getattr(cli, maker)
@@ -502,20 +503,39 @@ def test_refusals_come_before_any_generator(capsys, monkeypatch, argv, maker):
     assert not {"U", "V"} & set(vars(reps[0]))
 
 
-def test_clock_class_1_refuses_before_its_identity(capsys, monkeypatch):
-    # 1 MiB holds neither the generators of q = 300 (32 q^2 = 2.9 MB) nor the
-    # class 1 pairing (64 q^2 = 5.8 MB); 4 MiB holds the generators only.  The
-    # class 1 reads no generator, so its own estimate must refuse under both,
-    # before the q x q identity is built
+def test_clock_class_1_pairs_from_q_alone(capsys, monkeypatch):
+    # the identity's trace is q and it has no defect, so no q x q array is
+    # built: a 1 MiB ceiling, below the 2.9 MB of the generators at q = 300,
+    # still pairs
     sizes = []
     eye = np.eye
     monkeypatch.setattr(np, "eye", lambda n, *a, **k: sizes.append(n) or eye(n, *a, **k))
-    for ceiling in (2**20, 2**22):
-        monkeypatch.setattr(torus_rep, "_physical_memory", lambda c=ceiling: c)
-        code, out, err = run_cli(capsys, "pair", "--module", "z0prime", "--class", "1",
-                                 "--theta", "1/300")
-        assert (code, out) == (2, "") and "the clock class 1 at q = 300" in err
-        assert sizes == []
+    monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**20)
+    code, out, _ = run_cli(capsys, "pair", "--module", "z0prime", "--class", "1",
+                           "--theta", "1/300")
+    assert code == 0 and json.loads(out)["result"]["value"] == 300
+    assert sizes == []
+
+
+def test_clock_class_1_value_is_the_exact_q(capsys):
+    # 2^53 + 1 has no float of its own: the value is the int, the raw trace
+    # its nearest float
+    q = 2**53 + 1
+    code, out, _ = run_cli(capsys, "pair", "--module", "z0prime", "--class", "1",
+                           "--theta", f"1/{q}")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["value"] == result["truncation"] == q
+    assert result["details"] == {"adjoint_defect": 0.0, "idempotency_defect": 0.0,
+                                 "raw_trace": float(q)}
+
+
+def test_clock_projection_pairs_in_o_of_q_memory(capsys, monkeypatch):
+    # a 1 MiB ceiling, below the 2.9 MB of the generators at q = 300 and the
+    # 11.5 MB of the dense projection: the blocks need 72 bytes a sample
+    monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**20)
+    code, out, _ = run_cli(capsys, "pair", "--module", "z0prime", "--class", "p",
+                           "--theta", "1/300")
+    assert code == 0 and json.loads(out)["result"]["value"] == 1
 
 
 @pytest.mark.parametrize("module,klass,theta", [
@@ -523,34 +543,40 @@ def test_clock_class_1_refuses_before_its_identity(capsys, monkeypatch):
     ("z0prime", "p", "13/40")])
 def test_clock_pairings_read_only_what_they_pair(capsys, monkeypatch, module, klass,
                                                   theta):
-    # the module is its dimension q, so no generator is built for it; the
-    # class p reads V into the projection, the class 1 reads neither
+    # the module is its dimension q and the projection its samples, so no
+    # generator is built
     reps = []
     make = cli.clock_shift
     monkeypatch.setattr(cli, "clock_shift", lambda *a: reps.append(make(*a)) or reps[-1])
     code, _, _ = run_cli(capsys, "pair", "--module", module, "--class", klass,
                          "--theta", theta)
     assert code == 0 and len(reps) == 1
-    built = set(vars(reps[0])) & {"U", "V"}
-    assert built == ({"V"} if (module, klass) == ("z0prime", "p") else set())
+    assert not {"U", "V"} & set(vars(reps[0]))
+
+
+#: every coprime m/q with q <= 60, then the golden convergents 55/89 ... 377/610
+CLOCK_GRID = [(m, q) for q in range(1, 61) for m in range(q) if math.gcd(m, q) == 1] + [
+    (55, 89), (89, 144), (144, 233), (233, 377), (377, 610)]
 
 
 def test_clock_pairings_match_the_generator_module(capsys):
-    # the library route: canonical_even checks the generators and returns
-    # the module the CLI builds from q alone
-    for q in range(1, 31):
-        for m in range(q):
-            if math.gcd(m, q) != 1:
-                continue
-            rep = torus_rep.clock_shift(m, q)
-            mod = fredholm.canonical_even({"U": rep.U, "V": rep.V})
-            for klass in ("1", "p") if q > 1 else ("1",):
-                e = (np.eye(q) if klass == "1" else
-                     torus_rep.rieffel_projection(rep.theta, rep).matrix)
-                want = json.loads(render_json(fredholm.even_pairing(mod, e).to_json_obj()))
-                code, out, _ = run_cli(capsys, "pair", "--module", "z0prime",
-                                       "--class", klass, "--theta", f"{m}/{q}")
-                assert code == 0 and json.loads(out)["result"] == want, (m, q)
+    # the dense library route is the oracle: canonical_even checks the
+    # generators, and even_pairing measures the realized projection
+    for m, q in CLOCK_GRID:
+        rep = torus_rep.clock_shift(m, q)
+        mod = fredholm.canonical_even({"U": rep.U, "V": rep.V})
+        for klass in ("1", "p") if q > 1 else ("1",):
+            e = (np.eye(q) if klass == "1" else
+                 torus_rep.rieffel_projection(rep.theta, rep).matrix)
+            want = fredholm.even_pairing(mod, e).to_json_obj()
+            code, out, _ = run_cli(capsys, "pair", "--module", "z0prime",
+                                   "--class", klass, "--theta", f"{m}/{q}")
+            got = json.loads(out)["result"]
+            details, want_details = got.pop("details"), want.pop("details")
+            assert code == 0 and got == want, (m, q)
+            assert details.keys() == want_details.keys()
+            for key, value in details.items():
+                assert abs(value - want_details[key]) <= 1e-12, (m, q, key)
 
 
 #: sha256 of stdout for calls whose output holds no BLAS-dependent float,
@@ -590,10 +616,10 @@ PINNED_STDOUT = [
      0, "0cde16c5315bf6d5ceed8f911e52d20af251ded7eec9ec16faff71470d283ee2"),
     (("pair", "--N", "6", "--module", "z1", "--class", "V", "--power", "0"), 0,
      "e5482c4897da4912c579205038a47542d9d8a8478363de4c306820f57ddcfed8"),
-    # the idempotency and adjoint defects are SVD norms of BLAS products, so
-    # this one pins the operator-norm rule on this numpy/OpenBLAS build
+    # the clock projection's defects are norms of its 1x1 and 2x2 blocks,
+    # computed from the samples of f and g without BLAS
     (("pair", "--module", "z0prime", "--class", "p", "--theta", "7/25"), 0,
-     "174857d01b306377d83659c511091a2a7751a8f0688fbcbeaf858e01cb7fa7db"),
+     "b773db7bc4d3329088e5e127b76895ff354c80abca57d31142330724a74bc246"),
     (("rep-dump", "--rep", "z1prime", "--theta", "golden", "--N", "3"), 0,
      "389a2948ab179040810a3d1949a593fddfdadbb4a5e108725255f7b2e5d91610"),
     # one call per even route, each printing exact floats only

@@ -81,6 +81,24 @@ class TestCanonicalEven:
         spec = rieffel_projection(Fraction(m, q), rep)
         assert even_pairing(mod, spec.matrix).value == m
 
+    def test_spec_pairs_from_its_own_trace_and_defects(self):
+        rep = clock_shift(2, 5)
+        mod = canonical_even({"U": rep.U, "V": rep.V})
+        spec = rieffel_projection(Fraction(2, 5), rep)
+        got, want = even_pairing(mod, spec), even_pairing(mod, spec.matrix)
+        assert (got.value, got.truncation) == (want.value, want.truncation) == (2, 5)
+        for key, value in got.details.items():
+            assert abs(value - want.details[key]) <= 1e-12
+        # the pairing's tolerances apply to the spec's own numbers
+        from ncg_torus.errors import NonIntegerPairing
+        for change, error in ((dict(defect_adjoint=1e-9), NotAProjection),
+                              (dict(defect_idempotent=1e-7), NotAProjection),
+                              (dict(trace=0.5), NonIntegerPairing)):
+            with pytest.raises(error):
+                even_pairing(mod, dataclasses.replace(spec, **change))
+        with pytest.raises(InvalidInput, match="multiple of the fiber dim 3"):
+            even_pairing(fredholm.EvenFredholmModule(3), spec)
+
     def test_trivial_rep_kills_bump_class(self):
         # evaluating the bump at the fixed point of the circle gives zero
         assert even_pairing(trivial_even(), np.zeros((1, 1))).value == 0
@@ -359,10 +377,10 @@ class TestDiracPairing:
 
     def test_spec_object_is_rejected(self):
         # the route rebuilds its projection from a token at every N, so a
-        # spec's matrix (all zeros here) would go unread: refuse it
+        # spec's trace (zero here) would go unread: refuse it
         mod = dirac_module(GOLDEN, 8)
         spec = rieffel_projection(Fraction(2, 5), clock_shift(2, 5))
-        zero = dataclasses.replace(spec, matrix=np.zeros_like(spec.matrix))
+        zero = dataclasses.replace(spec, trace=0.0)
         for p in (spec, zero):
             with pytest.raises(UnsupportedForm):
                 dirac_even_pairing(mod, p, stability_check=False)

@@ -364,6 +364,18 @@ class TestRieffelProjection:
         assert np.all((np.abs(w) <= 1e-7) | (np.abs(w - 1) <= 1e-7))
         assert int(round(w.sum())) == m
 
+    def test_clock_build_holds_no_dense_array(self, monkeypatch):
+        # an 8 MiB ceiling: the blocks of q = 10^5 fit (72 q = 7.2 MB), the
+        # generators (32 q^2) and the matrix (128 q^2) would not
+        monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**23)
+        rep = clock_shift(38197, 100000)
+        spec = rieffel_projection(Fraction(38197, 100000), rep)
+        assert spec.defect_idempotent <= 1e-12 and spec.defect_adjoint == 0.0
+        assert abs(spec.trace - 0.38197) <= 1e-12
+        assert not {"U", "V"} & set(vars(rep))
+        with pytest.raises(ExceedsMemory, match="clock projection matrix"):
+            spec.matrix
+
     def test_box_build_trace_and_symmetry(self):
         th = float(Fraction(GOLDEN))
         for N, K in ((4, 2), (6, 3), (10, 5)):
@@ -424,7 +436,8 @@ class TestMemoryGuard:
         lambda: clock_shift(1, 300).U,  # 32 q^2 = 2.9 MB
         lambda: truncated_rep("0.3", 200).U,  # 16 dim^2 = 2.6 MB
         lambda: dirac_data("0.3", 8).V,  # 1.3 MB
-        lambda: rieffel_projection(Fraction(1, 100), clock_shift(1, 100)),  # 1.8 MB
+        # 128 q^2 = 1.3 MB; the blocks alone take 72 q = 7.2 kB
+        lambda: rieffel_projection(Fraction(1, 100), clock_shift(1, 100)).matrix,
     ], ids=["clock", "line", "box generator", "clock projection"])
     def test_dense_builds_are_estimated_before_they_allocate(self, monkeypatch,
                                                             build):

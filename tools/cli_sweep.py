@@ -15,7 +15,8 @@ The call sets:
 
 * ``pinned``: the argvs of ``PINNED_STDOUT`` in ``tests/test_cli.py``;
 * ``clock``: ``pair --module z0prime`` for every coprime m/q with q <= 60
-  and both classes, plus ``pair --module z0`` with both classes;
+  and the golden convergents 55/89 ... 377/610, both classes, plus
+  ``pair --module z0`` with both classes;
 * ``light``: the ``light_cli`` tables of seeds 1-4 of
   ``benchmark/workloads.py``;
 * ``tower``: golden and two decimals at depths 12-60, with the default
@@ -56,11 +57,11 @@ def pinned_calls() -> list:
 
 def clock_calls() -> list:
     calls = [["pair", "--module", "z0", "--class", k] for k in ("1", "p")]
-    for q in range(1, 61):
-        for m in range(q):
-            if math.gcd(m, q) == 1:
-                calls += [["pair", "--module", "z0prime", "--class", k,
-                           "--theta", f"{m}/{q}"] for k in ("1", "p")]
+    golden = [(55, 89), (89, 144), (144, 233), (233, 377), (377, 610)]
+    for m, q in [(m, q) for q in range(1, 61) for m in range(q)] + golden:
+        if math.gcd(m, q) == 1:
+            calls += [["pair", "--module", "z0prime", "--class", k,
+                       "--theta", f"{m}/{q}"] for k in ("1", "p")]
     return calls
 
 
