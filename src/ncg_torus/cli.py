@@ -190,6 +190,8 @@ def cmd_pair(args) -> dict:
                                rieffel_projection(rep.theta, rep))
         else:  # the identity, of trace q, or p at q = 1: exact, with no defect
             n = rep.q if klass == "1" else 0
+            if n > sys.float_info.max:  # the raw trace is a float
+                raise InvalidInput(f"the trace of 1 at theta {theta!r} does not fit in a float")
             res = PairingResult(n, "trace-formula", rep.q, None, True, {
                 "raw_trace": float(n), "idempotency_defect": 0.0, "adjoint_defect": 0.0})
     else:

@@ -11,11 +11,12 @@ Three computation routes, all returning integers:
 * ``dirac_even_pairing``: the two-index box module; the projection is
   polished spectrally, the phase operator F0 is compressed to its range and
   near-kernel vectors are classified by interior mass ("compressed-index").
-  The pass stays real: the antiunitary mirror J (e_{m,n} -> e_{-m,n}, then
-  complex conjugation) fixes p, and F0 is J-odd off the origin, where it
-  is 1.  So in J's real basis p is real symmetric and F0 = i B + e_0 e_0^T
-  with B real, and the compression to p's kept eigenvectors q is
-  t = i q^T B q + q_0 q_0^T, q_0 the origin's row of q.
+  The pass stays real and splits: the antiunitary mirror J (e_{m,n} ->
+  e_{-m,n}, then complex conjugation) and, in a centred gauge, the flip P
+  (e_{m,n} -> e_{-m,-n}) fix p, and F0 is 1 at the origin and J- and P-odd
+  elsewhere.  So in J's real basis p is real symmetric on each sector of P,
+  F0 = i B + e_0 e_0^T with B real, and the compression of F0 to the kept
+  eigenvectors q_e, q_o of the two blocks is real up to diag(1, -i).
 
 Sign convention: the compression of a winding-one unitary has index -1
 (kernel on the adjoint side), and the box route matches it, so realized
@@ -38,9 +39,9 @@ import numpy as np
 
 from .errors import (InvalidInput, NonIntegerPairing, NotAProjection, NotUnitary,
                      RepresentationTooSmall, UnstableIndex, UnsupportedForm)
-from .torus_rep import (RieffelProjectionSpec, ThetaLike, TruncatedZ2Rep,
-                        TruncatedZRep, _op_norm, _refuse_beyond_memory, dirac_data,
-                        rieffel_polynomial, truncated_rep)
+from .torus_rep import (RieffelProjectionSpec, ThetaLike, TorusPolynomial,
+                        TruncatedZ2Rep, TruncatedZRep, _op_norm, _refuse_beyond_memory,
+                        dirac_data, rieffel_polynomial, truncated_rep)
 
 #: the odd route's reported rank tolerance; its compressions have singular
 #: values exactly 0 or 1, so its exact counts are the numbers below this
@@ -245,14 +246,25 @@ def dirac_module(theta: ThetaLike, N: int) -> BoxFredholmModule:
 _dirac_cache: dict = {}
 
 
-def _mirror_polish(poly, rep: TruncatedZ2Rep) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the box projection p (the polynomial realized on the
-    box) and its eigenvectors at or above 1/2, real, in the mirror basis
-    c_a = (e_a + e_a')/sqrt2, s_a = i(e_a - e_a')/sqrt2 (m_a > 0, a' the
-    mirror of a), then e_{0,n}.  J fixes p (the caller checks this on p's
-    coefficients), so p is real symmetric there: one real eigh, run after p
-    itself is freed.
-    """
+def _flip_sectors(N: int) -> list:
+    """The even and the odd sector of the flip P: e_{m,n} -> e_{-m,-n}, in the
+    mirror basis c_(m,n) -> c_(m,-n), s_(m,n) -> -s_(m,-n), e_(0,n) -> e_(0,-n).
+    Each is (rep, partner, sign, weight): the coordinates of a mirror vector a
+    are (a[rep] + sign a[partner]) * weight, rep running over n >= 0."""
+    ns = np.tile(np.arange(-N, N + 1), 2 * N + 1)  # c and s rows, then e_{0,n}
+    sign = np.repeat([1, -1, 1], [N * (2 * N + 1)] * 2 + [2 * N + 1])
+    reps = [np.flatnonzero((ns > 0) | ((ns == 0) & (sign == e))) for e in (1, -1)]
+    return [(r, r - 2 * ns[r], e * sign[r], np.where(ns[r] > 0, np.sqrt(0.5), 0.5))
+            for r, e in zip(reps, (1, -1))]
+
+
+def _mirror_polish(poly, rep: TruncatedZ2Rep) -> list:
+    """For each sector of the flip (``_flip_sectors``): the eigenvalues of the
+    box projection p (the polynomial realized on the box), its eigenvectors at
+    or above 1/2 as real sector coordinates, and the sector's reps.  J and P
+    fix p (the caller checks both on its coefficients), so p is real symmetric
+    in the mirror basis c_a = (e_a + e_a')/sqrt2, s_a = i(e_a - e_a')/sqrt2
+    (m_a > 0, a' the mirror of a), then e_{0,n}: two half-size real eighs."""
     N, side = rep.N, 2 * rep.N + 1
     h, hi = N * side, (N + 1) * side  # m < 0 is [0, h), m = 0 is [h, hi)
     p = poly.realize_box(rep)
@@ -266,8 +278,12 @@ def _mirror_polish(poly, rep: TruncatedZ2Rep) -> tuple[np.ndarray, np.ndarray]:
     s[h:2 * h, 2 * h:] = np.sqrt(2) * p[hi:, h:hi].imag
     s[2 * h:, 2 * h:] = p[h:hi, h:hi].real
     del p, x, y
-    w, q = np.linalg.eigh(s, UPLO="U")
-    return w, q[:, w >= 0.5]
+    out = []
+    for r, partner, sign, weight in _flip_sectors(N):  # each keeps the c, s, e_0
+        fold = lambda a: (a[r] + sign[:, None] * a[partner]) * weight[:, None]
+        w, q = np.linalg.eigh(fold(fold(s).T).T, UPLO="U")  # order: upper stays upper
+        out.append((w, q[:, w >= 0.5], r))
+    return out
 
 
 def _small_singular_vectors(t: np.ndarray, gram: np.ndarray, small: np.ndarray,
@@ -295,13 +311,13 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     key = (rep.theta, N)
     if key in _dirac_cache:
         return _dirac_cache[key]
-    # a pass peaks at 41-42 bytes per box matrix entry above the
-    # interpreter's base at N = 24 and 32 (ru_maxrss); 48 leaves 15 % margin
-    _refuse_beyond_memory(48 * rep.dim**2, f"a box pass at N = {N}")
+    # a pass peaks at 27.5-28 bytes per box matrix entry above the interpreter's
+    # base at N = 24 and 32 (ru_maxrss), in the polish; 32 leaves 15 % margin
+    _refuse_beyond_memory(32 * rep.dim**2, f"a box pass at N = {N}")
     # tail quality wants K large, the exactness margin wants 2K <= N,
     # which this rule keeps at every N
     K = min(max(6, N // 3), N // 2)
-    poly, _ = rieffel_polynomial(rep.theta, K)
+    poly, delta = rieffel_polynomial(rep.theta, K)
     if N < 2:
         raise RepresentationTooSmall(
             f"box N = {N} too small for Fourier cutoff K = {K}")
@@ -312,39 +328,48 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     mirror = float(np.abs(poly.c[::-1, :] - poly.c.conj()).max())
     if mirror > ADJOINT_TOL:
         raise NotAProjection(f"mirror defect {mirror:.2e} above {ADJOINT_TOL}")
-    w, q = _mirror_polish(poly, rep)
-    gap = float(np.abs(w - 0.5).min())
+    # U -> e^{i pi (theta + delta)} U, e^{i pi m (theta + delta)} on the box, centres
+    # f and g so that P fixes p, and leaves the evidence be.  The l1 flip defect
+    # bounds ||p - PpP||; it is gated after the rank, which refuses at theta <= 0.02
+    c = poly.c * np.exp(1j * np.pi * (rep.theta + delta) * np.arange(-K, K + 1))[:, None]
+    (w_e, q_e, even), (w_o, q_o, odd) = _mirror_polish(TorusPolynomial(rep.theta, c), rep)
+    gap = float(min(np.abs(w - 0.5).min() for w in (w_e, w_o)))
     if gap <= PROJECTION_TOL:
         # rounding alone decides which side of the cut that eigenvector
         # falls on, and with it the rank of the compression
         raise UnstableIndex(
             f"an eigenvalue of the box projection lies {gap:.1e} from 1/2")
-    rank = q.shape[1]
+    k_e, rank = q_e.shape[1], q_e.shape[1] + q_o.shape[1]
     if rank in (0, rep.dim):  # the compression is then 0 or the phase itself
         raise UnstableIndex(f"the box projection at N = {N} has rank {rank} "
                             f"of {rep.dim}, so its compression decides nothing")
-    # t = i q^T B q + q_0 q_0^T (module docstring): on (c_a, s_a) with
-    # F0(a) = x + iy, B c_a = y c_a - x s_a and B s_a = x c_a + y s_a
+    if (flip := float(np.abs(c - c[::-1, ::-1]).sum())) > ADJOINT_TOL:  # blocks of (p + PpP)/2
+        raise NotAProjection(f"flip defect {flip:.2e} above {ADJOINT_TOL}")
+    # B is site-local, (B a)_i = d_i a_i + k_i a_mate(i): B c_a = y c_a - x s_a and
+    # B s_a = x c_a + y s_a where F0(a) = x + iy, sign n on e_{0,n}.  A row of `to` that
+    # `of` lacks (n = 0) has d = 0, and k = 0 or its mate in `of`, so gathering is exact
     h, ns = N * (2 * N + 1), np.arange(-N, N + 1)
-    f = rep.F0_diag[-h:, None]  # F0 at the sites with m > 0
-    qc, qs, q0 = q[:h], q[h:2 * h], q[2 * h:]
-    r1 = q.T @ np.concatenate([f.imag * qc + f.real * qs, f.imag * qs - f.real * qc,
-                               np.sign(ns)[:, None] * q0])
-    o = q0[N]
-    t = 1j * r1 + np.outer(o, o)
+    f = rep.F0_diag[-h:]  # F0 at the sites with m > 0
+    d = np.concatenate([f.imag, f.imag, np.sign(ns)])[:, None]
+    k = np.concatenate([f.real, -f.real, 0 * ns])[:, None]
+    mate = np.concatenate([np.arange(h, 2 * h), np.arange(h), np.arange(2 * h, rep.dim)])
+    def b(z, of, to):  # B from the coordinates z on sector `of` to those on sector `to`
+        return d[to] * z[np.searchsorted(of, to)] + k[to] * z[np.searchsorted(of, mate[to])]
+    o = q_e[-N - 1]  # the origin, first of the N + 1 even e_{0,n}
+    t = np.block([[np.outer(o, o), q_e.T @ b(q_o, odd, even)],  # diag(1, -i) t diag(1, -i)
+                  [q_o.T @ b(q_e, even, odd), np.zeros((rank - k_e,) * 2)]])
     s = np.linalg.svd(t, compute_uv=False)
     small = s[s < DIRAC_RANK_TOL]
     ker = coker = 0
     if small.size:
-        c = r1.T @ o  # t^H t = r1^T r1 + |o|^2 o o^T + i (o c^T - c o^T)
-        gram = r1.T @ r1 + (o @ o) * np.outer(o, o) + 1j * (np.outer(o, c) - np.outer(c, o))
-        # the window |m|, |n| <= N - margin is mirror symmetric, so a box
-        # vector's interior mass is that of its mirror coordinates there
+        # the window |m|, |n| <= N - margin is mirror and flip symmetric, so
+        # a box vector's interior mass is that of its sector coordinates there
         r = N - max(2, N // 4)
         half = (np.arange(1, N + 1)[:, None] <= r) & (np.abs(ns) <= r)
         inside = np.concatenate([half.ravel(), half.ravel(), np.abs(ns) <= r])
-        mass = [((q @ z.real)[inside] ** 2 + (q @ z.imag)[inside] ** 2).sum(axis=0)
-                for z in _small_singular_vectors(t, gram, small)]
+        q_e, q_o = q_e[inside[even]], q_o[inside[odd]]
+        mass = [((q_e @ z[:k_e]) ** 2).sum(axis=0) + ((q_o @ z[k_e:]) ** 2).sum(axis=0)
+                for z in _small_singular_vectors(t, t.T @ t, small)]
         ker, coker = (int((m >= INTERIOR_MASS_THRESHOLD).sum()) for m in mass)
     if ker and coker:
         # the classification takes one side of each near-kernel pair for
@@ -354,6 +379,8 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     out = {"value": ker - coker, "kernel": ker, "cokernel": coker, "rank": rank,
            "sigma_min": float(s[-1]), "sigma_next": float(s[-2]) if rank > 1 else None,
            "gap_half": gap, "build_defect": build_defect}
+    if len(_dirac_cache) >= 8:  # a recheck chain reads back only its last passes
+        _dirac_cache.clear()
     _dirac_cache[key] = out
     return out
 

@@ -310,6 +310,7 @@ def _bump_pair(theta: float, profile: str):
     delta = min(theta, 1.0 - theta) / 4.0
     if profile == "piecewise-linear":
         ramp = lambda t: t
+        root = lambda t: math.sqrt(max(t - t * t, 0.0))
     elif profile == "smooth":
         def sigma(t):
             return math.exp(-1.0 / t) if t > 0 else 0.0
@@ -321,6 +322,9 @@ def _bump_pair(theta: float, profile: str):
                 return 1.0
             a, b = sigma(t), sigma(1.0 - t)
             return a / (a + b)
+        def root(t):  # sqrt(f - f^2) as sqrt(ab)/(a + b), exact at f ~ 1 too
+            a, b = sigma(t), sigma(1.0 - t)
+            return math.sqrt(a * b) / (a + b)
     else:
         raise InvalidInput(f"unknown profile {profile!r}")
 
@@ -336,10 +340,7 @@ def _bump_pair(theta: float, profile: str):
 
     def g(x):
         x = x % 1.0
-        if theta < x < theta + delta:
-            fx = f(x)
-            return math.sqrt(max(fx - fx * fx, 0.0))
-        return 0.0
+        return root((theta + delta - x) / delta) if theta < x < theta + delta else 0.0
 
     return f, g, delta
 

@@ -529,6 +529,18 @@ def test_clock_class_1_value_is_the_exact_q(capsys):
                                  "raw_trace": float(q)}
 
 
+def test_clock_class_1_beyond_float_range_exits_2(capsys):
+    # the raw trace is q as a float: the largest float pairs, 10^400 has none
+    top = int(sys.float_info.max)
+    code, out, _ = run_cli(capsys, "pair", "--module", "z0prime", "--class", "1",
+                           "--theta", f"1/{top}")
+    assert code == 0 and json.loads(out)["result"]["details"]["raw_trace"] == float(top)
+    code, out, err = run_cli(capsys, "pair", "--module", "z0prime", "--class", "1",
+                             "--theta", "1/1" + "0" * 400)
+    assert (code, out) == (2, "")
+    assert "does not fit in a float" in err
+
+
 def test_clock_projection_pairs_in_o_of_q_memory(capsys, monkeypatch):
     # a 1 MiB ceiling, below the 2.9 MB of the generators at q = 300 and the
     # 11.5 MB of the dense projection: the blocks need 72 bytes a sample

@@ -26,6 +26,7 @@ from ncg_torus.fredholm import (
     odd_pairing,
 )
 from ncg_torus.torus_rep import (
+    TorusPolynomial,
     TruncatedZRep,
     clock_shift,
     dirac_data,
@@ -427,20 +428,33 @@ class TestDiracPairing:
     @pytest.mark.parametrize("theta", [GOLDEN, "0.45"])
     def test_real_polish_reproduces_the_complex_route(self, N, theta):
         rep = dirac_data(theta, N)
-        poly = rieffel_polynomial(rep.theta, N // 2)[0]
+        K = N // 2
+        poly, delta = rieffel_polynomial(rep.theta, K)
+        # the pass's centred gauge, in which the flip fixes p
+        twist = np.exp(1j * np.pi * (rep.theta + delta) * np.arange(-K, K + 1))
+        poly = TorusPolynomial(rep.theta, poly.c * twist[:, None])
         p = poly.realize_box(rep)
-        w, q = fredholm._mirror_polish(poly, rep)
-        # unfold the kept real columns, on c_a = (e_a + e_a')/sqrt2 and
-        # s_a = i(e_a - e_a')/sqrt2 for m_a > 0 and then on e_{0,n}, back
-        # to the box basis
+        sectors = fredholm._mirror_polish(poly, rep)
+        assert [w.size for w, _, _ in sectors] == [(rep.dim + 1) // 2, (rep.dim - 1) // 2]
+        # unfold the kept real columns from the flip's sector coordinates to
+        # the mirror basis c_a = (e_a + e_a')/sqrt2, s_a = i(e_a - e_a')/sqrt2
+        # for m_a > 0, then e_{0,n}, and on to the box basis
+        z = np.hstack([np.zeros((rep.dim, q.shape[1])) for _, q, _ in sectors])
+        col = 0
+        for (_, q, reps), (r, partner, sign, weight) in zip(sectors, fredholm._flip_sectors(N)):
+            assert np.array_equal(reps, r)
+            z[r, col:col + q.shape[1]] += weight[:, None] * q
+            z[partner, col:col + q.shape[1]] += (sign * weight)[:, None] * q
+            col += q.shape[1]
         side = 2 * N + 1
         h, hi = N * side, (N + 1) * side  # m < 0 is [0, h), m = 0 is [h, hi)
-        upper = (q[:h] + 1j * q[h:2 * h]) / np.sqrt(2)
-        vec = np.empty((rep.dim, q.shape[1]), dtype=complex)
+        upper = (z[:h] + 1j * z[h:2 * h]) / np.sqrt(2)
+        vec = np.empty((rep.dim, col), dtype=complex)
         vec[hi:] = upper
         vec[:h] = upper.conj().reshape(N, side, -1)[::-1].reshape(h, -1)
-        vec[h:hi] = q[2 * h:]
+        vec[h:hi] = z[2 * h:]
         ref_w, ref_q = np.linalg.eigh((p + p.conj().T) / 2)
+        w = np.sort(np.concatenate([w for w, _, _ in sectors]))
         assert np.abs(w - ref_w).max() <= 1e-12
         kept = ref_q[:, ref_w >= 0.5]
         assert vec.shape == kept.shape
@@ -498,6 +512,25 @@ class TestDiracPairing:
         res = dirac_even_pairing(module, "trace-theta", stability_check=False)
         assert res.value == -1
 
+    def test_split_pass_runs_under_36_bytes_an_entry(self, monkeypatch):
+        # the split pass estimates 32 bytes per box entry; a ceiling of 36
+        # holds it, where the unsplit pass's 48 was refused
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        module = dirac_module("0.455", 8)
+        monkeypatch.setattr(torus_rep, "_physical_memory",
+                            lambda: 36 * module.base.dim**2)
+        res = dirac_even_pairing(module, "trace-theta", stability_check=False)
+        assert res.value == -1
+
+    def test_pass_cache_keeps_only_the_last_passes(self, monkeypatch):
+        # a recheck chain reads back its own last passes; a process that
+        # pairs a pool of angles computes an angle again when the pool wraps
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        for theta in [0.35 + 0.01 * k for k in range(12)]:
+            fredholm._dirac_single(dirac_data(theta, 4))
+        assert 0 < len(fredholm._dirac_cache) <= 8
+        assert (0.35, 4) not in fredholm._dirac_cache
+
     def test_mirror_asymmetric_projection_is_rejected(self, monkeypatch):
         def broken(theta, K):
             poly, delta = rieffel_polynomial(theta, K)
@@ -508,6 +541,29 @@ class TestDiracPairing:
         monkeypatch.setattr(fredholm, "rieffel_polynomial", broken)
         monkeypatch.setattr(fredholm, "_dirac_cache", {})
         with pytest.raises(NotAProjection):
+            dirac_even_pairing(dirac_module(GOLDEN, 6), "trace-theta",
+                               stability_check=False)
+
+    @pytest.mark.parametrize("K", [6, 10, 16])
+    def test_centred_coefficients_are_flip_symmetric(self, K):
+        # the pass's gauge U -> e^{i pi (theta + delta)} U centres f and g, and
+        # the flip U -> U^-1, V -> V^-1 then fixes p: c[-m, -n] = c[m, n]
+        for theta in np.arange(1, 20) / 20:
+            poly, delta = rieffel_polynomial(theta, K)
+            twist = np.exp(1j * np.pi * (theta + delta) * np.arange(-K, K + 1))
+            c = poly.c * twist[:, None]
+            assert np.abs(c - c[::-1, ::-1]).sum() <= 1e-13, theta
+
+    def test_flip_asymmetric_projection_is_rejected(self, monkeypatch):
+        def broken(theta, K):
+            poly, delta = rieffel_polynomial(theta, K)
+            c = poly.c.copy()
+            c[K - 1:K + 2:2, 1] += 1e-6  # f-hat at m = -1 and 1: real, so J still fixes p
+            return TorusPolynomial(theta, c), delta
+
+        monkeypatch.setattr(fredholm, "rieffel_polynomial", broken)
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        with pytest.raises(NotAProjection, match="flip defect"):
             dirac_even_pairing(dirac_module(GOLDEN, 6), "trace-theta",
                                stability_check=False)
 

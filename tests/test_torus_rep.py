@@ -343,6 +343,21 @@ class TestBumpPair:
             rhs = g(x) ** 2 + g((x + theta) % 1.0) ** 2
             assert abs(lhs - rhs) <= 1e-12
 
+    def test_smooth_root_holds_where_f_is_near_1(self):
+        # near the top of the falling ramp f = a/(a + b) with b << a, and
+        # g^2 = f(1 - f) = ab/(a + b)^2; f - f^2 loses the digits of 1 - f
+        theta = 0.3
+        f, g, delta = _bump_pair(theta, "smooth")
+        old = []
+        for u in (0.3, 0.1, 0.05, 0.04, 0.03):  # 1 - t on the ramp
+            x = theta + delta * u
+            t = (theta + delta - x) / delta  # as g computes it
+            a, b = Fraction(math.exp(-1.0 / t)), Fraction(math.exp(-1.0 / (1.0 - t)))
+            want = a * b / (a + b) ** 2
+            assert abs(Fraction(g(x)) ** 2 / want - 1) <= 1e-14, u
+            old.append(abs(Fraction(f(x) - f(x) ** 2) / want - 1))
+        assert max(old) > 1e-10
+
     def test_smooth_ramp_is_flat_at_ends(self):
         f, _, delta = _bump_pair(0.5, "smooth")
         # exp-type ramp has all derivatives zero at the corners
