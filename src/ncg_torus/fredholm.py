@@ -12,11 +12,12 @@ Three computation routes, all returning integers:
   polished spectrally, the phase operator F0 is compressed to its range and
   near-kernel vectors are classified by interior mass ("compressed-index").
   The pass stays real and splits: the antiunitary mirror J (e_{m,n} ->
-  e_{-m,n}, then complex conjugation) and, in a centred gauge, the flip P
-  (e_{m,n} -> e_{-m,-n}) fix p, and F0 is 1 at the origin and J- and P-odd
-  elsewhere.  So in J's real basis p is real symmetric on each sector of P,
-  F0 = i B + e_0 e_0^T with B real, and the compression of F0 to the kept
-  eigenvectors q_e, q_o of the two blocks is real up to diag(1, -i).
+  e_{-m,n}, then complex conjugation) and the flip P (e_{m,n} -> e_{-m,-n})
+  fix p, which ``rieffel_polynomial`` builds centred, and F0 is 1 at the
+  origin and J- and P-odd elsewhere.  So in J's real basis p is real
+  symmetric on each sector of P, F0 = i B + e_0 e_0^T with B real, and the
+  compression of F0 to the kept eigenvectors q_e, q_o of the two blocks is
+  real up to diag(1, -i).
 
 Sign convention: the compression of a winding-one unitary has index -1
 (kernel on the adjoint side), and the box route matches it, so realized
@@ -39,9 +40,9 @@ import numpy as np
 
 from .errors import (InvalidInput, NonIntegerPairing, NotAProjection, NotUnitary,
                      RepresentationTooSmall, UnstableIndex, UnsupportedForm)
-from .torus_rep import (RieffelProjectionSpec, ThetaLike, TorusPolynomial,
-                        TruncatedZ2Rep, TruncatedZRep, _op_norm, _refuse_beyond_memory,
-                        dirac_data, rieffel_polynomial, truncated_rep)
+from .torus_rep import (RieffelProjectionSpec, ThetaLike, TruncatedZ2Rep, TruncatedZRep,
+                        _op_norm, _refuse_beyond_memory, dirac_data, rieffel_polynomial,
+                        truncated_rep)
 
 #: the odd route's reported rank tolerance; its compressions have singular
 #: values exactly 0 or 1, so its exact counts are the numbers below this
@@ -317,22 +318,21 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     # tail quality wants K large, the exactness margin wants 2K <= N,
     # which this rule keeps at every N
     K = min(max(6, N // 3), N // 2)
-    poly, delta = rieffel_polynomial(rep.theta, K)
+    poly = rieffel_polynomial(rep.theta, K)[0]
     if N < 2:
         raise RepresentationTooSmall(
             f"box N = {N} too small for Fourier cutoff K = {K}")
     # each column |m| <= N - 2K, |n| <= N - 2 of p^2 - p, clear of the edge,
     # holds exactly the coefficients of poly*poly - poly times unit phases
     build_defect = float(np.linalg.norm((poly * poly + poly.scale(-1)).c))
-    # the real polish is exact only for a mirror-symmetric polynomial
-    mirror = float(np.abs(poly.c[::-1, :] - poly.c.conj()).max())
-    if mirror > ADJOINT_TOL:
+    # the real polish is exact only for a mirror-symmetric polynomial, and
+    # its split only for a flip-symmetric one: the l1 flip defect bounds ||p - PpP||
+    c = poly.c
+    if (mirror := float(np.abs(c[::-1, :] - c.conj()).max())) > ADJOINT_TOL:
         raise NotAProjection(f"mirror defect {mirror:.2e} above {ADJOINT_TOL}")
-    # U -> e^{i pi (theta + delta)} U, e^{i pi m (theta + delta)} on the box, centres
-    # f and g so that P fixes p, and leaves the evidence be.  The l1 flip defect
-    # bounds ||p - PpP||; it is gated after the rank, which refuses at theta <= 0.02
-    c = poly.c * np.exp(1j * np.pi * (rep.theta + delta) * np.arange(-K, K + 1))[:, None]
-    (w_e, q_e, even), (w_o, q_o, odd) = _mirror_polish(TorusPolynomial(rep.theta, c), rep)
+    if (flip := float(np.abs(c - c[::-1, ::-1]).sum())) > ADJOINT_TOL:
+        raise NotAProjection(f"flip defect {flip:.2e} above {ADJOINT_TOL}")
+    (w_e, q_e, even), (w_o, q_o, odd) = _mirror_polish(poly, rep)
     gap = float(min(np.abs(w - 0.5).min() for w in (w_e, w_o)))
     if gap <= PROJECTION_TOL:
         # rounding alone decides which side of the cut that eigenvector
@@ -343,8 +343,6 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     if rank in (0, rep.dim):  # the compression is then 0 or the phase itself
         raise UnstableIndex(f"the box projection at N = {N} has rank {rank} "
                             f"of {rep.dim}, so its compression decides nothing")
-    if (flip := float(np.abs(c - c[::-1, ::-1]).sum())) > ADJOINT_TOL:  # blocks of (p + PpP)/2
-        raise NotAProjection(f"flip defect {flip:.2e} above {ADJOINT_TOL}")
     # B is site-local, (B a)_i = d_i a_i + k_i a_mate(i): B c_a = y c_a - x s_a and
     # B s_a = x c_a + y s_a where F0(a) = x + iy, sign n on e_{0,n}.  A row of `to` that
     # `of` lacks (n = 0) has d = 0, and k = 0 or its mate in `of`, so gathering is exact

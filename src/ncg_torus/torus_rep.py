@@ -297,7 +297,8 @@ class TorusPolynomial:
 # --- Rieffel projection ---------------------------------------------------------
 
 def _bump_pair(theta: float, profile: str):
-    """The classical (f, g) pair on the circle for a trace-theta projection.
+    """The classical (f, g) pair on the circle for a trace-theta projection,
+    each evaluated on an array of points.
 
     f rises 0 -> 1 on [0, delta], is 1 on [delta, theta], falls back to 0 on
     [theta, theta + delta] and vanishes after; g = sqrt(f - f^2) on the
@@ -310,37 +311,34 @@ def _bump_pair(theta: float, profile: str):
     delta = min(theta, 1.0 - theta) / 4.0
     if profile == "piecewise-linear":
         ramp = lambda t: t
-        root = lambda t: math.sqrt(max(t - t * t, 0.0))
+        root = lambda t: np.sqrt(np.maximum(t - t * t, 0.0))
     elif profile == "smooth":
         def sigma(t):
-            return math.exp(-1.0 / t) if t > 0 else 0.0
+            return np.where(t > 0, np.exp(-1.0 / t), 0.0)
 
-        def ramp(t):
-            if t <= 0:
-                return 0.0
-            if t >= 1:
-                return 1.0
+        def ramp(t):  # 0 at t <= 0 and 1 at t >= 1, where sigma is 0 at t or 1 - t
             a, b = sigma(t), sigma(1.0 - t)
             return a / (a + b)
         def root(t):  # sqrt(f - f^2) as sqrt(ab)/(a + b), exact at f ~ 1 too
             a, b = sigma(t), sigma(1.0 - t)
-            return math.sqrt(a * b) / (a + b)
+            return np.sqrt(a * b) / (a + b)
     else:
         raise InvalidInput(f"unknown profile {profile!r}")
 
+    # np.where evaluates each branch at every point, and a branch may overflow
+    # outside its mask (x / delta at subnormal theta), which drops those values
     def f(x):
         x = x % 1.0
-        if x < delta:
-            return ramp(x / delta)
-        if x <= theta:
-            return 1.0
-        if x < theta + delta:
-            return ramp((theta + delta - x) / delta)
-        return 0.0
+        with np.errstate(all="ignore"):
+            out = np.where(x < theta + delta, ramp((theta + delta - x) / delta), 0.0)
+            out = np.where(x <= theta, 1.0, out)
+            return np.where(x < delta, ramp(x / delta), out)
 
     def g(x):
         x = x % 1.0
-        return root((theta + delta - x) / delta) if theta < x < theta + delta else 0.0
+        with np.errstate(all="ignore"):
+            return np.where((theta < x) & (x < theta + delta),
+                            root((theta + delta - x) / delta), 0.0)
 
     return f, g, delta
 
@@ -369,26 +367,27 @@ class RieffelProjectionSpec:
         return fu + vg + vg.conj().T
 
 
-def _fourier_coeffs(fn, K: int) -> np.ndarray:
-    samples = 1 << 13
-    xs = np.arange(samples) / samples
-    vals = np.array([fn(x) for x in xs])
-    spec = np.fft.fft(vals) / samples
-    return spec[np.arange(-K, K + 1) % samples]
-
-
 def rieffel_polynomial(theta: float, K: int) -> tuple[TorusPolynomial, float]:
     """The trace-theta element f(U) + V g(U) + g(U)* V*, f and g smooth
     bumps cut off at Fourier degree K, and the ramp width delta;
-    0 < theta < 1.  No rep."""
+    0 < theta < 1.  No rep.
+
+    f and g are sampled on a grid symmetric about the centres of their
+    supports, (theta + delta)/2 and theta + delta/2, so their coefficients are
+    real and even: this is Rieffel's element under the gauge automorphism
+    U -> exp(i pi (theta + delta)) U, which keeps its class, and the flip
+    U -> U^-1, V -> V^-1 fixes it (S. Walters, J. London Math. Soc. 51, 1995)."""
     f, g, delta = _bump_pair(theta, "smooth")
-    lam = cmath.exp(2j * math.pi * theta)
+    y = np.fft.fftfreq(1 << 13)  # k/2^13 for -2^12 <= k < 2^12
     ks = np.arange(-K, K + 1)
+    fhat, ghat = (np.fft.fft(fn(centre + y))[ks] / y.size
+                  for fn, centre in ((f, (theta + delta) / 2), (g, theta + delta / 2)))
     c = np.empty((2 * K + 1, 3), dtype=complex)
-    c[:, 1] = _fourier_coeffs(f, K)
-    # V g(U) = sum_k ghat_k lambda^k U^k V at n = 1, its adjoint at n = -1
-    c[:, 2] = _fourier_coeffs(g, K) * _lam_powers(lam, ks)
-    c[:, 0] = c[::-1, 2].conj() * _lam_powers(lam, -ks)
+    c[:, 1] = fhat
+    # V g(U) = sum_k ghat_k lambda^k U^k V at n = 1, its adjoint at n = -1; g's
+    # samples about its centre carry all of lambda^k but exp(i pi k theta)
+    c[:, 2] = ghat * _lam_powers(cmath.exp(1j * math.pi * theta), ks)
+    c[:, 0] = c[::-1, 2].conj() * _lam_powers(cmath.exp(2j * math.pi * theta), -ks)
     return TorusPolynomial(theta, c), delta
 
 
@@ -406,10 +405,11 @@ def rieffel_projection(theta: ThetaLike, rep) -> RieffelProjectionSpec:
     if abs(rep.theta - th) > 1e-12:
         raise InvalidInput(
             f"theta = {th} does not match the representation's {rep.theta}")
-    q, m = rep.q, rep.m % rep.q  # 58 bytes a sample at q = 10^6, 60-66 at 10^5
+    q, m = rep.q, rep.m % rep.q  # 50 bytes a sample at q >= 10^6, 65-68 at 10^5
     _refuse_beyond_memory(72 * q, f"the clock projection at q = {q}")  # ru_maxrss
     xs = (-np.arange(q) / q) % 1.0
-    fs, gs = (np.fromiter(map(fn, map(float, xs)), float, q) for fn in (f, g))
+    fs, gs = f(xs), g(xs)
+    del xs  # before the blocks' temporaries: 62 bytes a sample with it kept
     top = np.flatnonzero(gs)  # the 2x2 blocks {k, k + m}
     a, b, c = fs[top], gs[top], fs[(top + m) % q]
     # p^2 - p on a block is [[x, z], [z, y]], of norm |x + y|/2 + hypot((x - y)/2, z)

@@ -315,6 +315,19 @@ class TestPairCommand:
         assert (code, out) == (3, "")
         assert rank in err
 
+    @pytest.mark.parametrize("theta,rank", [("1e-310", 0), ("0.99999", 81)])
+    def test_dirac_extreme_angle_refuses_without_warnings(self, capsys, theta, rank):
+        # the bump pair evaluates each branch at every sample, and x / delta
+        # overflows where delta is subnormal; warnings are errors under pytest,
+        # so stderr must hold the refusal and the wall time only
+        code, out, err = run_cli(capsys, "pair", "--module", "dirac",
+                                 "--class", "p", "--theta", theta, "--N", "4")
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert lines[0] == (f"instability: the box projection at N = 4 has rank {rank} "
+                            "of 81, so its compression decides nothing")
+        assert len(lines) == 2 and lines[1].startswith("wall time:")
+
     @pytest.mark.parametrize("argv,exit_code", [
         (("--theta", "0", "--N", "4"), 2),
         (("--theta", "1", "--N", "4"), 2),

@@ -429,10 +429,7 @@ class TestDiracPairing:
     def test_real_polish_reproduces_the_complex_route(self, N, theta):
         rep = dirac_data(theta, N)
         K = N // 2
-        poly, delta = rieffel_polynomial(rep.theta, K)
-        # the pass's centred gauge, in which the flip fixes p
-        twist = np.exp(1j * np.pi * (rep.theta + delta) * np.arange(-K, K + 1))
-        poly = TorusPolynomial(rep.theta, poly.c * twist[:, None])
+        poly = rieffel_polynomial(rep.theta, K)[0]
         p = poly.realize_box(rep)
         sectors = fredholm._mirror_polish(poly, rep)
         assert [w.size for w, _, _ in sectors] == [(rep.dim + 1) // 2, (rep.dim - 1) // 2]
@@ -546,22 +543,36 @@ class TestDiracPairing:
 
     @pytest.mark.parametrize("K", [6, 10, 16])
     def test_centred_coefficients_are_flip_symmetric(self, K):
-        # the pass's gauge U -> e^{i pi (theta + delta)} U centres f and g, and
-        # the flip U -> U^-1, V -> V^-1 then fixes p: c[-m, -n] = c[m, n]
+        # f and g are sampled about the centres of their supports, and the
+        # flip U -> U^-1, V -> V^-1 then fixes p: c[-m, -n] = c[m, n]
         for theta in np.arange(1, 20) / 20:
-            poly, delta = rieffel_polynomial(theta, K)
-            twist = np.exp(1j * np.pi * (theta + delta) * np.arange(-K, K + 1))
-            c = poly.c * twist[:, None]
+            c = rieffel_polynomial(theta, K)[0].c
+            assert np.abs(c - c[::-1, ::-1]).sum() <= 1e-13, theta
+
+    @pytest.mark.parametrize("K", [16, 32])
+    def test_coefficients_are_flip_symmetric_at_narrow_ramps(self, K):
+        # at theta <= 0.02 and >= 0.98 a ramp of width delta spans at most 41
+        # grid points; samples placed symmetrically about its centre keep the
+        # flip exact there too, where the uncentred grid left up to 1.4e-6
+        for theta in (0.005, 0.01, 0.0175, 0.02, 0.0225, 0.975, 0.98, 0.9825, 0.995):
+            c = rieffel_polynomial(theta, K)[0].c
             assert np.abs(c - c[::-1, ::-1]).sum() <= 1e-13, theta
 
     def test_flip_asymmetric_projection_is_rejected(self, monkeypatch):
         def broken(theta, K):
             poly, delta = rieffel_polynomial(theta, K)
             c = poly.c.copy()
-            c[K - 1:K + 2:2, 1] += 1e-6  # f-hat at m = -1 and 1: real, so J still fixes p
+            # f-hat at m = 1 and -1 moved by +-i 1e-6: c[-m] = conj(c[m]) still
+            # holds, so J fixes p, but c[-m] != c[m], so the flip does not
+            c[K + 1, 1] += 1e-6j
+            c[K - 1, 1] -= 1e-6j
             return TorusPolynomial(theta, c), delta
 
+        def polished(*args):
+            raise AssertionError("the flip gate comes before the polish")
+
         monkeypatch.setattr(fredholm, "rieffel_polynomial", broken)
+        monkeypatch.setattr(fredholm, "_mirror_polish", polished)
         monkeypatch.setattr(fredholm, "_dirac_cache", {})
         with pytest.raises(NotAProjection, match="flip defect"):
             dirac_even_pairing(dirac_module(GOLDEN, 6), "trace-theta",

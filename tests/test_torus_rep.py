@@ -349,14 +349,59 @@ class TestBumpPair:
         theta = 0.3
         f, g, delta = _bump_pair(theta, "smooth")
         old = []
-        for u in (0.3, 0.1, 0.05, 0.04, 0.03):  # 1 - t on the ramp
-            x = theta + delta * u
+        xs = theta + delta * np.array([0.3, 0.1, 0.05, 0.04, 0.03])  # 1 - t on the ramp
+        for x, fx, gx in zip(xs, f(xs), g(xs)):
             t = (theta + delta - x) / delta  # as g computes it
             a, b = Fraction(math.exp(-1.0 / t)), Fraction(math.exp(-1.0 / (1.0 - t)))
             want = a * b / (a + b) ** 2
-            assert abs(Fraction(g(x)) ** 2 / want - 1) <= 1e-14, u
-            old.append(abs(Fraction(f(x) - f(x) ** 2) / want - 1))
+            assert abs(Fraction(gx) ** 2 / want - 1) <= 1e-14, x
+            old.append(abs(Fraction(fx - fx ** 2) / want - 1))
         assert max(old) > 1e-10
+
+    @pytest.mark.parametrize("theta", [0.005, 0.3, 0.618033988749895, 0.995, 1e-310])
+    def test_array_samples_match_the_scalar_definition(self, theta):
+        # the definition one point at a time: the piecewise-linear samples
+        # (the clock route's) agree bit for bit, the smooth ones within the
+        # rounding of exp
+        delta = min(theta, 1 - theta) / 4
+
+        def scalar(profile):
+            def sigma(t):
+                return math.exp(-1.0 / t) if t > 0 else 0.0
+
+            def ramp(t):
+                if profile == "piecewise-linear" or t <= 0 or t >= 1:
+                    return min(max(t, 0.0), 1.0)
+                return sigma(t) / (sigma(t) + sigma(1.0 - t))
+
+            def root(t):
+                if profile == "piecewise-linear":
+                    return math.sqrt(max(t - t * t, 0.0))
+                a, b = sigma(t), sigma(1.0 - t)
+                return math.sqrt(a * b) / (a + b)
+
+            def f(x):
+                x %= 1.0
+                if x < delta:
+                    return ramp(x / delta)
+                if x <= theta:
+                    return 1.0
+                return ramp((theta + delta - x) / delta) if x < theta + delta else 0.0
+
+            def g(x):
+                x %= 1.0
+                return root((theta + delta - x) / delta) if theta < x < theta + delta else 0.0
+
+            return f, g
+
+        edges = [0.0, delta, theta, theta + delta, theta + delta / 2]
+        xs = np.concatenate([np.linspace(-1.0, 2.0, 6001), edges,
+                             np.nextafter(edges, 1.0), np.nextafter(edges, -1.0)])
+        for profile, tol in (("piecewise-linear", 0.0), ("smooth", 1e-15)):
+            got = _bump_pair(theta, profile)[:2]
+            for fn, ref in zip(got, scalar(profile)):
+                want = np.array([ref(float(x)) for x in xs])
+                assert np.abs(fn(xs) - want).max() <= tol, profile
 
     def test_smooth_ramp_is_flat_at_ends(self):
         f, _, delta = _bump_pair(0.5, "smooth")

@@ -22,8 +22,10 @@ The call sets:
 * ``tower``: golden and two decimals at depths 12-60, with the default
   horizon and explicit ones;
 * ``box``: ``pair --module dirac --class p`` on the ``box_pair`` angle pool
-  of ``benchmark/workloads.py`` at N = 12, and on the small-N, default-N
-  and refused calls listed in ROADMAP.md.
+  of ``benchmark/workloads.py`` at N = 12, on the small-N, default-N and
+  refused calls listed in ROADMAP.md, and at N = 12 and 20 on small and
+  large angles, where the ramps are narrow: 0.005 to 0.0225, 0.975 to
+  0.995 and the subnormal 1e-310.
 """
 
 from __future__ import annotations
@@ -96,8 +98,10 @@ def box_calls() -> list:
     calls += [base + ["--N", "2"], base + ["--N", "6"],
               base + ["--theta", "0.4", "--N", "8"], base + ["--theta", "0.2", "--N", "12"],
               base + ["--theta", "0.3", "--N", "16"], base + ["--theta", "1e-5", "--N", "4"]]
-    return calls + [base + ["--theta", a] for a in ("0.05", "0.1", "0.9", "0.01",
-                                                     "0.97", "0.99")]
+    calls += [base + ["--theta", a] for a in ("0.05", "0.1", "0.9", "0.01", "0.97", "0.99")]
+    return calls + [base + ["--theta", a, "--N", n] for n in ("12", "20")
+                    for a in ("0.005", "0.0175", "0.02", "0.0225", "0.975", "0.98",
+                              "0.9825", "0.995", "1e-310")]
 
 
 SETS = {"pinned": pinned_calls, "clock": clock_calls, "light": light_calls,
