@@ -15,9 +15,10 @@ Three computation routes, all returning integers:
   e_{-m,n}, then complex conjugation) and the flip P (e_{m,n} -> e_{-m,-n})
   fix p, which ``rieffel_polynomial`` builds centred, and F0 is 1 at the
   origin and J- and P-odd elsewhere.  So in J's real basis p is real
-  symmetric on each sector of P, F0 = i B + e_0 e_0^T with B real, and the
-  compression of F0 to the kept eigenvectors q_e, q_o of the two blocks is
-  real up to diag(1, -i).
+  symmetric on each sector of P, summed from p's entries, F0 = i B + e_0 e_0^T
+  with B real, and R = diag(1, -i) F0 diag(1, -i) is real orthogonal: its
+  compressions to the range of p and to the complement share every singular
+  value below 1 (the CS decomposition), so the pass takes the smaller.
 
 Sign convention: the compression of a winding-one unitary has index -1
 (kernel on the adjoint side), and the box route matches it, so realized
@@ -248,42 +249,44 @@ _dirac_cache: dict = {}
 
 
 def _flip_sectors(N: int) -> list:
-    """The even and the odd sector of the flip P: e_{m,n} -> e_{-m,-n}, in the
-    mirror basis c_(m,n) -> c_(m,-n), s_(m,n) -> -s_(m,-n), e_(0,n) -> e_(0,-n).
-    Each is (rep, partner, sign, weight): the coordinates of a mirror vector a
-    are (a[rep] + sign a[partner]) * weight, rep running over n >= 0."""
+    """The even and the odd sector of the flip P: e_{m,n} -> e_{-m,-n}, that is
+    c_(m,n) -> c_(m,-n), s_(m,n) -> -s_(m,-n), e_(0,n) -> e_(0,-n) on the mirror
+    basis c_a = (e_a + e_a')/sqrt2, s_a = i(e_a - e_a')/sqrt2 (m_a > 0), e_{0,n}.
+    Each is (reps, at, weights): reps, mirror indices with n >= 0, name its
+    coordinates, and row x of its isometry G into the box is weights[x] at at[x]."""
+    side, h = 2 * N + 1, N * (2 * N + 1)
     ns = np.tile(np.arange(-N, N + 1), 2 * N + 1)  # c and s rows, then e_{0,n}
-    sign = np.repeat([1, -1, 1], [N * (2 * N + 1)] * 2 + [2 * N + 1])
-    reps = [np.flatnonzero((ns > 0) | ((ns == 0) & (sign == e))) for e in (1, -1)]
-    return [(r, r - 2 * ns[r], e * sign[r], np.where(ns[r] > 0, np.sqrt(0.5), 0.5))
-            for r, e in zip(reps, (1, -1))]
+    sign = np.repeat([1, -1, 1], [h, h, side])
+    m, n = np.indices((side, side)).reshape(2, -1) - N
+    c = np.where(m, (np.abs(m) - 1) * side, 2 * h) + n + N  # x's c_a, or its e_{0,n}
+    mirror = np.stack([c, np.where(m, c + h, c)], axis=1)
+    coeff = np.stack([np.where(m, np.sqrt(0.5), 1), 1j * np.sign(m) * np.sqrt(0.5)], axis=1)
+    out = []
+    for e in (1, -1):
+        r = np.flatnonzero((ns > 0) | ((ns == 0) & (sign == e)))
+        pos, weight = np.zeros(ns.size, dtype=int), np.zeros(ns.size)
+        pos[r] = pos[r - 2 * ns[r]] = np.arange(r.size)
+        weight[r] = np.where(ns[r] > 0, np.sqrt(0.5), 0.5)
+        weight[r - 2 * ns[r]] += e * sign[r] * weight[r]  # n = 0, its own partner: 1
+        out.append((r, pos[mirror], coeff * weight[mirror]))
+    return out
 
 
 def _mirror_polish(poly, rep: TruncatedZ2Rep) -> list:
-    """For each sector of the flip (``_flip_sectors``): the eigenvalues of the
-    box projection p (the polynomial realized on the box), its eigenvectors at
-    or above 1/2 as real sector coordinates, and the sector's reps.  J and P
-    fix p (the caller checks both on its coefficients), so p is real symmetric
-    in the mirror basis c_a = (e_a + e_a')/sqrt2, s_a = i(e_a - e_a')/sqrt2
-    (m_a > 0, a' the mirror of a), then e_{0,n}: two half-size real eighs."""
-    N, side = rep.N, 2 * rep.N + 1
-    h, hi = N * side, (N + 1) * side  # m < 0 is [0, h), m = 0 is [h, hi)
-    p = poly.realize_box(rep)
-    x = p[hi:, hi:]
-    y = p[hi:, :h].reshape(h, N, side)[:, ::-1].reshape(h, h)  # p[a, b']
-    s = np.zeros(p.shape)  # only the upper triangle is read
-    np.add(x.real, y.real, out=s[:h, :h])
-    np.subtract(y.imag, x.imag, out=s[:h, h:2 * h])
-    np.subtract(x.real, y.real, out=s[h:2 * h, h:2 * h])
-    s[:h, 2 * h:] = np.sqrt(2) * p[hi:, h:hi].real
-    s[h:2 * h, 2 * h:] = np.sqrt(2) * p[hi:, h:hi].imag
-    s[2 * h:, 2 * h:] = p[h:hi, h:hi].real
-    del p, x, y
+    """For each sector of the flip (``_flip_sectors``): the eigenvalues, in
+    ascending order, and the eigenvectors of the box projection p (the
+    polynomial on the box) as real sector coordinates, and the sector's reps.
+    J and P fix p (the caller checks both on its coefficients), so G^H p G is
+    real symmetric; it is summed straight from p's nonzero entries, each
+    entering at most 2 x 2 sector entries: two half-size real eighs."""
+    rows, cols, values = poly.box_entries(rep)
     out = []
-    for r, partner, sign, weight in _flip_sectors(N):  # each keeps the c, s, e_0
-        fold = lambda a: (a[r] + sign[:, None] * a[partner]) * weight[:, None]
-        w, q = np.linalg.eigh(fold(fold(s).T).T, UPLO="U")  # order: upper stays upper
-        out.append((w, q[:, w >= 0.5], r))
+    for reps, at, weight in _flip_sectors(rep.N):
+        k = reps.size
+        entry = (at[rows][:, :, None] * k + at[cols][:, None, :]).ravel()
+        term = weight[rows].conj()[:, :, None] * values[:, None, None] * weight[cols][:, None, :]
+        a = np.bincount(entry, term.real.ravel(), k * k).reshape(k, k)
+        out.append((*np.linalg.eigh(a), reps))
     return out
 
 
@@ -291,14 +294,15 @@ def _small_singular_vectors(t: np.ndarray, gram: np.ndarray, small: np.ndarray,
                             left: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Right and left singular vectors of t for its singular values
     ``small`` (all below DIRAC_RANK_TOL), gram = t^H t.  One solve at each
-    exact shift sigma^2 is inverse iteration that converges in one step, as
-    the next value squared lies far above; the Ritz vectors of t on their
-    span separate a cluster.  Left vectors are t v / sigma, or the right
+    shift sigma^2 is inverse iteration that converges in one step, as the
+    next value squared lies far above; the Ritz vectors of t on their span
+    separate a cluster.  The shift sits just below sigma^2, where a diagonal
+    t meets no exactly zero pivot.  Left vectors are t v / sigma, or the right
     ones of t^H when a sigma is too small for that quotient.
     """
     start = np.random.default_rng(0).standard_normal((t.shape[0], small.size))
-    shifted = [np.linalg.solve(gram - sig**2 * np.eye(t.shape[0]), start[:, i])
-               for i, sig in enumerate(small)]
+    shifted = [np.linalg.solve(gram - (sig**2 * (1 - 2**-40) - 2**-100) * np.eye(t.shape[0]),
+                               start[:, i]) for i, sig in enumerate(small)]
     basis = np.linalg.qr(np.column_stack(shifted))[0]
     u, sig, wh = np.linalg.svd(t @ basis, full_matrices=False)
     if left and sig.min() <= 1e-8:
@@ -312,9 +316,9 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     key = (rep.theta, N)
     if key in _dirac_cache:
         return _dirac_cache[key]
-    # a pass peaks at 27.5-28 bytes per box matrix entry above the interpreter's
-    # base at N = 24 and 32 (ru_maxrss), in the polish; 32 leaves 15 % margin
-    _refuse_beyond_memory(32 * rep.dim**2, f"a box pass at N = {N}")
+    # a pass peaks at 17.3 and 15.0 bytes per box entry above the interpreter's
+    # base at N = 24 and 32 (ru_maxrss), in the second eigh; 20 leaves 15 % margin
+    _refuse_beyond_memory(20 * rep.dim**2, f"a box pass at N = {N}")
     # tail quality wants K large, the exactness margin wants 2K <= N,
     # which this rule keeps at every N
     K = min(max(6, N // 3), N // 2)
@@ -339,7 +343,7 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
         # falls on, and with it the rank of the compression
         raise UnstableIndex(
             f"an eigenvalue of the box projection lies {gap:.1e} from 1/2")
-    k_e, rank = q_e.shape[1], q_e.shape[1] + q_o.shape[1]
+    rank = rep.dim - sum(cut := [np.searchsorted(w, 0.5) for w in (w_e, w_o)])  # kept: last
     if rank in (0, rep.dim):  # the compression is then 0 or the phase itself
         raise UnstableIndex(f"the box projection at N = {N} has rank {rank} "
                             f"of {rep.dim}, so its compression decides nothing")
@@ -351,23 +355,35 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     d = np.concatenate([f.imag, f.imag, np.sign(ns)])[:, None]
     k = np.concatenate([f.real, -f.real, 0 * ns])[:, None]
     mate = np.concatenate([np.arange(h, 2 * h), np.arange(h), np.arange(2 * h, rep.dim)])
-    def b(z, of, to):  # B from the coordinates z on sector `of` to those on sector `to`
-        return d[to] * z[np.searchsorted(of, to)] + k[to] * z[np.searchsorted(of, mate[to])]
-    o = q_e[-N - 1]  # the origin, first of the N + 1 even e_{0,n}
-    t = np.block([[np.outer(o, o), q_e.T @ b(q_o, odd, even)],  # diag(1, -i) t diag(1, -i)
-                  [q_o.T @ b(q_e, even, odd), np.zeros((rank - k_e,) * 2)]])
+    def b(z, of, to, tr=1):  # B (tr = -1: B^T) from coordinates z on sector `of` to `to`
+        return d[to] * z[np.searchsorted(of, to)] + tr * k[to] * z[np.searchsorted(of, mate[to])]
+    # R = [[e_0 e_0^T, B], [B, 0]] compressed to the range of p or, if it has
+    # fewer columns, to the complement, whose values add to t's only 1s
+    flip = 2 * rank > rep.dim
+    q_e, q_o = (q[:, :j] if flip else q[:, j:] for q, j in zip((q_e, q_o), cut))
+    o, k_e = q_e[-N - 1], q_e.shape[1]  # the origin, first of the N + 1 even e_{0,n}
+    t = np.block([[np.outer(o, o), q_e.T @ b(q_o, odd, even)],
+                  [q_o.T @ b(q_e, even, odd), np.zeros((q_o.shape[1],) * 2)]])
     s = np.linalg.svd(t, compute_uv=False)
     small = s[s < DIRAC_RANK_TOL]
     ker = coker = 0
     if small.size:
+        vecs = [(q_e @ z[:k_e], q_o @ z[k_e:]) for z in _small_singular_vectors(t, t.T @ t, small)]
+        if flip:
+            # t's right and left vectors v, u at sigma give the range's left and right
+            # ones P R v, P R^T u, over sqrt(1 - sigma^2); P = 1 - q q^T projects on it
+            def across(z, tr):  # P R z (tr = -1: P R^T z)
+                y = [b(z[1], odd, even, tr), b(z[0], even, odd, tr)]
+                y[0][-N - 1] += z[0][-N - 1]
+                return [yi - q @ (q.T @ yi) for yi, q in zip(y, (q_e, q_o))]
+            vecs = [across(vecs[1], -1), across(vecs[0], 1)]
         # the window |m|, |n| <= N - margin is mirror and flip symmetric, so
         # a box vector's interior mass is that of its sector coordinates there
         r = N - max(2, N // 4)
         half = (np.arange(1, N + 1)[:, None] <= r) & (np.abs(ns) <= r)
         inside = np.concatenate([half.ravel(), half.ravel(), np.abs(ns) <= r])
-        q_e, q_o = q_e[inside[even]], q_o[inside[odd]]
-        mass = [((q_e @ z[:k_e]) ** 2).sum(axis=0) + ((q_o @ z[k_e:]) ** 2).sum(axis=0)
-                for z in _small_singular_vectors(t, t.T @ t, small)]
+        mass = [sum((z[inside[sec]] ** 2).sum(axis=0) for z, sec in zip(v, (even, odd)))
+                / sum((z ** 2).sum(axis=0) for z in v) for v in vecs]
         ker, coker = (int((m >= INTERIOR_MASS_THRESHOLD).sum()) for m in mass)
     if ker and coker:
         # the classification takes one side of each near-kernel pair for
@@ -375,7 +391,8 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
         raise UnstableIndex(f"the box pass at N = {N} counts bulk modes on both "
                             f"sides (kernel {ker}, cokernel {coker})")
     out = {"value": ker - coker, "kernel": ker, "cokernel": coker, "rank": rank,
-           "sigma_min": float(s[-1]), "sigma_next": float(s[-2]) if rank > 1 else None,
+           "sigma_min": float(s[-1]),  # a side of one value lacks sigma_next, a 1
+           "sigma_next": float(np.append(1.0, s)[-2]) if rank > 1 else None,
            "gap_half": gap, "build_defect": build_defect}
     if len(_dirac_cache) >= 8:  # a recheck chain reads back only its last passes
         _dirac_cache.clear()

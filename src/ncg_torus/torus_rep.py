@@ -271,6 +271,21 @@ class TorusPolynomial:
         twist = _lam_powers(self.lam, np.outer(self._degrees(0), self._degrees(1)))
         return TorusPolynomial(self.theta, self.c[::-1, ::-1].conj() * twist)
 
+    def box_entries(self, rep: TruncatedZ2Rep) -> tuple:
+        """The entries (rows, cols, values), each position once, of the exact
+        compression to the box: a U^a V^b sends e_{m,n} to a lambda^(mb) e_{m+a,n+b}."""
+        self._same_angle(rep.theta)
+        N, w = rep.N, 2 * rep.N + 1
+        m, n = np.indices((w, w)).reshape(2, -1) - N  # the column's site
+        i, j = np.nonzero(self.c)
+        a, b = self._degrees(0)[i, None], self._degrees(1)[j, None]
+        top = N * (self.c.shape[1] // 2)  # |mb| <= top
+        phases = _lam_powers(self.lam, np.arange(-top, top + 1))[m * b + top]
+        kept = (np.abs(m + a) <= N) & (np.abs(n + b) <= N)
+        rows = ((m + a + N) * w + n + b + N)[kept]
+        cols = np.broadcast_to(np.arange(rep.dim), kept.shape)[kept]
+        return rows, cols, (self.c[i, j][:, None] * phases)[kept]
+
     def realize_box(self, rep: TruncatedZ2Rep) -> np.ndarray:
         """Exact compression of the polynomial to the box basis.
 
@@ -278,19 +293,10 @@ class TorusPolynomial:
         sites, so interior columns carry no truncation error at all.
         """
         self._same_angle(rep.theta)
-        N, w = rep.N, 2 * rep.N + 1
-        _refuse_beyond_memory(16 * rep.dim**2, f"a box matrix at N = {N}")
-        lam = self.lam
+        _refuse_beyond_memory(16 * rep.dim**2, f"a box matrix at N = {rep.N}")
         out = np.zeros((rep.dim, rep.dim), dtype=complex)
-        base = np.arange(-N, N + 1)
-        for j, b in enumerate(self._degrees(1)):  # lambda^(mb), once per b
-            ns, phases = base[np.abs(base + b) <= N], _lam_powers(lam, base * b)
-            for i in np.flatnonzero(self.c[:, j]):
-                a = i - self.c.shape[0] // 2
-                kept = np.abs(base + a) <= N
-                rows = ((base[kept] + a + N) * w)[:, None] + (ns + b + N)
-                cols = ((base[kept] + N) * w)[:, None] + (ns + N)
-                out[rows, cols] += (self.c[i, j] * phases[kept])[:, None]
+        rows, cols, values = self.box_entries(rep)
+        out[rows, cols] = values
         return out
 
 
@@ -405,11 +411,13 @@ def rieffel_projection(theta: ThetaLike, rep) -> RieffelProjectionSpec:
     if abs(rep.theta - th) > 1e-12:
         raise InvalidInput(
             f"theta = {th} does not match the representation's {rep.theta}")
-    q, m = rep.q, rep.m % rep.q  # 50 bytes a sample at q >= 10^6, 65-68 at 10^5
-    _refuse_beyond_memory(72 * q, f"the clock projection at q = {q}")  # ru_maxrss
+    # the peak is in g: xs, fs, and g's x, ramp argument, root and result, six
+    # float arrays of q samples, and a mask, 49 bytes a sample; 56 leaves 15 %
+    q, m = rep.q, rep.m % rep.q
+    _refuse_beyond_memory(56 * q, f"the clock projection at q = {q}")
     xs = (-np.arange(q) / q) % 1.0
     fs, gs = f(xs), g(xs)
-    del xs  # before the blocks' temporaries: 62 bytes a sample with it kept
+    del xs  # before the blocks' temporaries
     top = np.flatnonzero(gs)  # the 2x2 blocks {k, k + m}
     a, b, c = fs[top], gs[top], fs[(top + m) % q]
     # p^2 - p on a block is [[x, z], [z, y]], of norm |x + y|/2 + hypot((x - y)/2, z)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies
 
 from ncg_torus import fredholm, torus_rep
 from ncg_torus.errors import (
+    ExceedsMemory,
     InvalidInput,
     NotAProjection,
     NotUnitary,
@@ -433,23 +434,14 @@ class TestDiracPairing:
         p = poly.realize_box(rep)
         sectors = fredholm._mirror_polish(poly, rep)
         assert [w.size for w, _, _ in sectors] == [(rep.dim + 1) // 2, (rep.dim - 1) // 2]
-        # unfold the kept real columns from the flip's sector coordinates to
-        # the mirror basis c_a = (e_a + e_a')/sqrt2, s_a = i(e_a - e_a')/sqrt2
-        # for m_a > 0, then e_{0,n}, and on to the box basis
-        z = np.hstack([np.zeros((rep.dim, q.shape[1])) for _, q, _ in sectors])
-        col = 0
-        for (_, q, reps), (r, partner, sign, weight) in zip(sectors, fredholm._flip_sectors(N)):
-            assert np.array_equal(reps, r)
-            z[r, col:col + q.shape[1]] += weight[:, None] * q
-            z[partner, col:col + q.shape[1]] += (sign * weight)[:, None] * q
-            col += q.shape[1]
-        side = 2 * N + 1
-        h, hi = N * side, (N + 1) * side  # m < 0 is [0, h), m = 0 is [h, hi)
-        upper = (z[:h] + 1j * z[h:2 * h]) / np.sqrt(2)
-        vec = np.empty((rep.dim, col), dtype=complex)
-        vec[hi:] = upper
-        vec[:h] = upper.conj().reshape(N, side, -1)[::-1].reshape(h, -1)
-        vec[h:hi] = z[2 * h:]
+        # unfold the kept real columns, the eigenvectors at or above 1/2, from
+        # the flip's sector coordinates to the box: site x holds the sum over
+        # its two slots s of weights[x, s] times coordinate at[x, s]
+        vec = []
+        for (w, q, reps), (r, at, weight) in zip(sectors, fredholm._flip_sectors(N)):
+            assert np.array_equal(reps, r) and np.all(np.diff(w) >= 0)
+            vec.append((weight[:, :, None] * q[:, w >= 0.5][at]).sum(axis=1))
+        vec = np.hstack(vec)
         ref_w, ref_q = np.linalg.eigh((p + p.conj().T) / 2)
         w = np.sort(np.concatenate([w for w, _, _ in sectors]))
         assert np.abs(w - ref_w).max() <= 1e-12
@@ -499,9 +491,33 @@ class TestDiracPairing:
                 proj = np.outer(got[:, i], got[:, i].conj())
                 assert np.abs(proj - np.outer(ref[:, j], ref[:, j].conj())).max() <= 1e-10
 
+    @pytest.mark.parametrize("values", [[0.9, 0.7, 0.01], [0.9, 0.7, 0.0]])
+    def test_small_singular_vectors_of_a_diagonal(self, values):
+        # the gram of a diagonal t less the exact sigma^2 has an exactly zero
+        # pivot, which the solve refuses; the shift just below it has none
+        t = np.diag(values)
+        small = np.linalg.svd(t, compute_uv=False)[-1:]
+        for got in fredholm._small_singular_vectors(t, t.T @ t, small):
+            assert np.abs(np.abs(got[:, 0]) - [0, 0, 1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_complement_side_matches_the_range_side(self, N, monkeypatch):
+        # the projections at theta and 1 - theta have complementary ranks, so
+        # the pass at theta < 1/2 works on the range of p and the one at
+        # 1 - theta on its complement: the integers and the evidence agree
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        dim = (2 * N + 1) ** 2
+        for theta in (0.2, 0.31, 0.3375, 0.42, 0.455, 0.4975):
+            low, high = (fredholm._dirac_single(dirac_data(x, N)) for x in (theta, 1 - theta))
+            assert 2 * low["rank"] < dim and low["rank"] + high["rank"] == dim
+            for key in ("value", "kernel", "cokernel"):
+                assert low[key] == high[key], (theta, key)
+            for key in ("sigma_min", "sigma_next", "gap_half"):
+                assert abs(low[key] - high[key]) <= 1e-12, (theta, key)
+
     def test_pass_runs_under_its_memory_estimate(self, monkeypatch):
         # a ceiling of 60 bytes per box entry, above the pass's estimate of
-        # 48: the pass runs and pairs -1
+        # 20: the pass runs and pairs -1
         monkeypatch.setattr(fredholm, "_dirac_cache", {})
         module = dirac_module("0.455", 8)
         monkeypatch.setattr(torus_rep, "_physical_memory",
@@ -510,14 +526,32 @@ class TestDiracPairing:
         assert res.value == -1
 
     def test_split_pass_runs_under_36_bytes_an_entry(self, monkeypatch):
-        # the split pass estimates 32 bytes per box entry; a ceiling of 36
-        # holds it, where the unsplit pass's 48 was refused
+        # a ceiling of 36 bytes per box entry holds the split pass, where the
+        # unsplit pass's estimate of 48 was refused
         monkeypatch.setattr(fredholm, "_dirac_cache", {})
         module = dirac_module("0.455", 8)
         monkeypatch.setattr(torus_rep, "_physical_memory",
                             lambda: 36 * module.base.dim**2)
         res = dirac_even_pairing(module, "trace-theta", stability_check=False)
         assert res.value == -1
+
+    def test_pass_runs_under_24_bytes_an_entry(self, monkeypatch):
+        # sectors summed from the coefficients, with no complex box matrix and
+        # no mirror matrix, bring the estimate to 20 bytes per box entry: a
+        # ceiling of 24 holds the pass, where the estimate of 32 was refused,
+        # and one of 19 refuses it
+        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        module = dirac_module("0.455", 8)
+        for ceiling in (24, 19):
+            monkeypatch.setattr(torus_rep, "_physical_memory",
+                                lambda: ceiling * module.base.dim**2)
+            if ceiling == 19:
+                with pytest.raises(ExceedsMemory, match="a box pass at N = 8"):
+                    dirac_even_pairing(module, "trace-theta", stability_check=False)
+            else:
+                res = dirac_even_pairing(module, "trace-theta", stability_check=False)
+                assert res.value == -1
+                fredholm._dirac_cache.clear()
 
     def test_pass_cache_keeps_only_the_last_passes(self, monkeypatch):
         # a recheck chain reads back its own last passes; a process that

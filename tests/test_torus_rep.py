@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -435,6 +436,27 @@ class TestRieffelProjection:
         assert not {"U", "V"} & set(vars(rep))
         with pytest.raises(ExceedsMemory, match="clock projection matrix"):
             spec.matrix
+
+    @pytest.mark.parametrize("m", [1, 38197, 49999, 99999])
+    def test_clock_build_peaks_at_its_counted_arrays(self, m, monkeypatch):
+        # at its peak the build holds six float arrays of q samples and a mask,
+        # 49 bytes a sample, and estimates 56; tracemalloc counts numpy's live
+        # arrays whatever the allocator keeps of the freed ones
+        q = 100000
+        rep = clock_shift(m, q)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            rieffel_projection(Fraction(m, q), rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 49 * q <= peak <= 50 * q
+        monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 56 * q)
+        rieffel_projection(Fraction(m, q), rep)
+        monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 56 * q - 1)
+        with pytest.raises(ExceedsMemory, match="clock projection at q"):
+            rieffel_projection(Fraction(m, q), rep)
 
     def test_box_build_trace_and_symmetry(self):
         th = float(Fraction(GOLDEN))

@@ -23,9 +23,12 @@ The call sets:
   horizon and explicit ones;
 * ``box``: ``pair --module dirac --class p`` on the ``box_pair`` angle pool
   of ``benchmark/workloads.py`` at N = 12, on the small-N, default-N and
-  refused calls listed in ROADMAP.md, and at N = 12 and 20 on small and
+  refused calls listed in ROADMAP.md, at N = 12 and 20 on small and
   large angles, where the ramps are narrow: 0.005 to 0.0225, 0.975 to
-  0.995 and the subnormal 1e-310.
+  0.995 and the subnormal 1e-310, and at N = 16 on angles above 1/2 with a
+  near-kernel mode (0.725, 0.69 and golden) and their partners 1 - theta:
+  the pass at rank above dim/2 compresses to the complement of the
+  projection's range, the one below to the range.
 """
 
 from __future__ import annotations
@@ -99,6 +102,9 @@ def box_calls() -> list:
               base + ["--theta", "0.4", "--N", "8"], base + ["--theta", "0.2", "--N", "12"],
               base + ["--theta", "0.3", "--N", "16"], base + ["--theta", "1e-5", "--N", "4"]]
     calls += [base + ["--theta", a] for a in ("0.05", "0.1", "0.9", "0.01", "0.97", "0.99")]
+    calls += [base + ["--theta", a, "--N", "16"] for a in (
+        "0.725", "0.275", "0.69", "0.31", "golden",
+        "0.381966011250105151795413165634361882279690820194237137865")]
     return calls + [base + ["--theta", a, "--N", n] for n in ("12", "20")
                     for a in ("0.005", "0.0175", "0.02", "0.0225", "0.975", "0.98",
                               "0.9825", "0.995", "1e-310")]
