@@ -343,7 +343,7 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
         # falls on, and with it the rank of the compression
         raise UnstableIndex(
             f"an eigenvalue of the box projection lies {gap:.1e} from 1/2")
-    rank = rep.dim - sum(cut := [np.searchsorted(w, 0.5) for w in (w_e, w_o)])  # kept: last
+    rank = rep.dim - sum(cut := [np.searchsorted(w, 0.5) for w in (w_e, w_o)])  # w ascends
     if rank in (0, rep.dim):  # the compression is then 0 or the phase itself
         raise UnstableIndex(f"the box projection at N = {N} has rank {rank} "
                             f"of {rep.dim}, so its compression decides nothing")

@@ -542,16 +542,15 @@ class TestDiracPairing:
         # and one of 19 refuses it
         monkeypatch.setattr(fredholm, "_dirac_cache", {})
         module = dirac_module("0.455", 8)
-        for ceiling in (24, 19):
-            monkeypatch.setattr(torus_rep, "_physical_memory",
-                                lambda: ceiling * module.base.dim**2)
-            if ceiling == 19:
-                with pytest.raises(ExceedsMemory, match="a box pass at N = 8"):
-                    dirac_even_pairing(module, "trace-theta", stability_check=False)
-            else:
-                res = dirac_even_pairing(module, "trace-theta", stability_check=False)
-                assert res.value == -1
-                fredholm._dirac_cache.clear()
+        monkeypatch.setattr(torus_rep, "_physical_memory",
+                            lambda: 24 * module.base.dim**2)
+        res = dirac_even_pairing(module, "trace-theta", stability_check=False)
+        assert res.value == -1
+        fredholm._dirac_cache.clear()
+        monkeypatch.setattr(torus_rep, "_physical_memory",
+                            lambda: 19 * module.base.dim**2)
+        with pytest.raises(ExceedsMemory, match="a box pass at N = 8"):
+            dirac_even_pairing(module, "trace-theta", stability_check=False)
 
     def test_pass_cache_keeps_only_the_last_passes(self, monkeypatch):
         # a recheck chain reads back its own last passes; a process that
