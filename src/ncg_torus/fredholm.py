@@ -15,10 +15,12 @@ Three computation routes, all returning integers:
   e_{-m,n}, then complex conjugation) and the flip P (e_{m,n} -> e_{-m,-n})
   fix p, which ``rieffel_polynomial`` builds centred, and F0 is 1 at the
   origin and J- and P-odd elsewhere.  So in J's real basis p is real
-  symmetric on each sector of P, summed from p's entries, F0 = i B + e_0 e_0^T
-  with B real, and R = diag(1, -i) F0 diag(1, -i) is real orthogonal: its
-  compressions to the range of p and to the complement share every singular
-  value below 1 (the CS decomposition), so the pass takes the smaller.
+  symmetric and block tridiagonal on each sector of P, from two row blocks,
+  F0 = i B + e_0 e_0^T with B real, and R = diag(1, -i) F0 diag(1, -i) is
+  real orthogonal: its compressions to the range of p and to the complement
+  share every singular value below 1 (the CS decomposition), so the pass
+  takes the smaller, t, and reads its values off t^T t, the small ones again
+  as the Ritz values of their vectors.
 
 Sign convention: the compression of a winding-one unitary has index -1
 (kernel on the adjoint side), and the box route matches it, so realized
@@ -248,45 +250,30 @@ def dirac_module(theta: ThetaLike, N: int) -> BoxFredholmModule:
 _dirac_cache: dict = {}
 
 
-def _flip_sectors(N: int) -> list:
-    """The even and the odd sector of the flip P: e_{m,n} -> e_{-m,-n}, that is
-    c_(m,n) -> c_(m,-n), s_(m,n) -> -s_(m,-n), e_(0,n) -> e_(0,-n) on the mirror
-    basis c_a = (e_a + e_a')/sqrt2, s_a = i(e_a - e_a')/sqrt2 (m_a > 0), e_{0,n}.
-    Each is (reps, at, weights): reps, mirror indices with n >= 0, name its
-    coordinates, and row x of its isometry G into the box is weights[x] at at[x]."""
-    side, h = 2 * N + 1, N * (2 * N + 1)
-    ns = np.tile(np.arange(-N, N + 1), 2 * N + 1)  # c and s rows, then e_{0,n}
-    sign = np.repeat([1, -1, 1], [h, h, side])
-    m, n = np.indices((side, side)).reshape(2, -1) - N
-    c = np.where(m, (np.abs(m) - 1) * side, 2 * h) + n + N  # x's c_a, or its e_{0,n}
-    mirror = np.stack([c, np.where(m, c + h, c)], axis=1)
-    coeff = np.stack([np.where(m, np.sqrt(0.5), 1), 1j * np.sign(m) * np.sqrt(0.5)], axis=1)
-    out = []
-    for e in (1, -1):
-        r = np.flatnonzero((ns > 0) | ((ns == 0) & (sign == e)))
-        pos, weight = np.zeros(ns.size, dtype=int), np.zeros(ns.size)
-        pos[r] = pos[r - 2 * ns[r]] = np.arange(r.size)
-        weight[r] = np.where(ns[r] > 0, np.sqrt(0.5), 0.5)
-        weight[r - 2 * ns[r]] += e * sign[r] * weight[r]  # n = 0, its own partner: 1
-        out.append((r, pos[mirror], coeff * weight[mirror]))
-    return out
-
-
 def _mirror_polish(poly, rep: TruncatedZ2Rep) -> list:
-    """For each sector of the flip (``_flip_sectors``): the eigenvalues, in
-    ascending order, and the eigenvectors of the box projection p (the
-    polynomial on the box) as real sector coordinates, and the sector's reps.
-    J and P fix p (the caller checks both on its coefficients), so G^H p G is
-    real symmetric; it is summed straight from p's nonzero entries, each
-    entering at most 2 x 2 sector entries: two half-size real eighs."""
-    rows, cols, values = poly.box_entries(rep)
+    """For each sector of the flip P: e_{m,n} -> e_{-m,-n}, even then odd: the eigenvalues,
+    ascending, and eigenvectors of the box projection p (the polynomial, of V-degree 1, on
+    the box) as real sector coordinates, and the sector's reps, their mirror indices,
+    ascending.  J and P fix p (the caller checks both), so its block R_b from row n to
+    n + b is real in a row's mirror basis, R_-1 = R_1^T, and a sector is block tridiagonal
+    in n >= 0, R_0 on the diagonal, R_1 below and sqrt2 R_1 from row 0, which keeps only
+    the c_m and e_0 (even) or the s_m (odd): two half-size real eighs."""
+    N, side, j = rep.N, 2 * rep.N + 1, np.arange(rep.N + 1)
+    e = np.eye(side)  # the mirror basis c_m = (e_m + e_-m)/sqrt2, s_m = i(e_m - e_-m)/sqrt2
+    mb = np.vstack([e[N + 1:] + e[N - 1::-1], 1j * (e[N + 1:] - e[N - 1::-1]),
+                    np.sqrt(2) * e[N]]) / np.sqrt(2)
+    r0, r1 = ((mb.conj() @ blk @ mb.T).real for blk in poly.box_blocks(rep)[1:])
+    a = np.zeros(((N + 1) * side,) * 2)  # rows n = 0..N of both sectors, n-major
+    rows = a.reshape(N + 1, side, N + 1, side)  # a view: writes fill a
+    rows[j, :, j], rows[j[1:], :, j[:-1]], rows[j[:-1], :, j[1:]] = r0, r1, r1.T
+    rows[1, :, 0], rows[0, :, 1] = np.sqrt(2) * r1, np.sqrt(2) * r1.T
+    # row n's x-th coordinate has the mirror index x side + n + N: the c_m, s_m, then e_0
+    index = (np.arange(side) * side + N + j[:, None]).ravel()
     out = []
-    for reps, at, weight in _flip_sectors(rep.N):
-        k = reps.size
-        entry = (at[rows][:, :, None] * k + at[cols][:, None, :]).ravel()
-        term = weight[rows].conj()[:, :, None] * values[:, None, None] * weight[cols][:, None, :]
-        a = np.bincount(entry, term.real.ravel(), k * k).reshape(k, k)
-        out.append((*np.linalg.eigh(a), reps))
+    for zero in (np.append(j[:-1], 2 * N), N + j[:-1]):
+        keep = np.append(zero, np.arange(side, a.shape[0]))
+        keep = keep[np.argsort(index[keep])]
+        out.append((*np.linalg.eigh(a[keep][:, keep]), index[keep]))
     return out
 
 
@@ -310,14 +297,29 @@ def _small_singular_vectors(t: np.ndarray, gram: np.ndarray, small: np.ndarray,
     return basis @ wh.conj().T, u
 
 
+def _spectrum(t: np.ndarray) -> tuple:
+    """A real square t's singular values, descending, and its right and left
+    singular vectors at those below DIRAC_RANK_TOL, or None: square roots of
+    gram = t^T t's eigenvalues, off by up to eps ||t||^2 / sigma, with each small
+    one read again as the Ritz value ||t v|| of its vector, off by eps ||t||."""
+    gram = t.T @ t
+    s = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0))
+    small = s < DIRAC_RANK_TOL
+    if not small.any():
+        return s, None
+    vecs = _small_singular_vectors(t, gram, s[small])
+    s[small] = np.linalg.norm(t @ vecs[0], axis=0)
+    return s, vecs
+
+
 def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     """One trace-theta box pass over the box rep."""
     N = rep.N
     key = (rep.theta, N)
     if key in _dirac_cache:
         return _dirac_cache[key]
-    # a pass peaks at 17.3 and 15.0 bytes per box entry above the interpreter's
-    # base at N = 24 and 32 (ru_maxrss), in the second eigh; 20 leaves 15 % margin
+    # a pass peaks at 15.6-17.7, 14.6 and 14.3 bytes per box entry above the interpreter's
+    # base at N = 16, 24 and 32 (ru_maxrss), in the second eigh; 20 leaves 13-40 % margin
     _refuse_beyond_memory(20 * rep.dim**2, f"a box pass at N = {N}")
     # tail quality wants K large, the exactness margin wants 2K <= N,
     # which this rule keeps at every N
@@ -355,25 +357,26 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     d = np.concatenate([f.imag, f.imag, np.sign(ns)])[:, None]
     k = np.concatenate([f.real, -f.real, 0 * ns])[:, None]
     mate = np.concatenate([np.arange(h, 2 * h), np.arange(h), np.arange(2 * h, rep.dim)])
-    def b(z, of, to, tr=1):  # B (tr = -1: B^T) from coordinates z on sector `of` to `to`
-        return d[to] * z[np.searchsorted(of, to)] + tr * k[to] * z[np.searchsorted(of, mate[to])]
+    to_e, to_o = ((d[to], k[to], np.searchsorted(of, to), np.searchsorted(of, mate[to]))
+                  for of, to in ((odd, even), (even, odd)))
+    def b(z, g, tr=1):  # B (tr = -1: B^T) to to_e's or to_o's sector from the other
+        return g[0] * z[g[2]] + tr * g[1] * z[g[3]]
     # R = [[e_0 e_0^T, B], [B, 0]] compressed to the range of p or, if it has
     # fewer columns, to the complement, whose values add to t's only 1s
     flip = 2 * rank > rep.dim
     q_e, q_o = (q[:, :j] if flip else q[:, j:] for q, j in zip((q_e, q_o), cut))
     o, k_e = q_e[-N - 1], q_e.shape[1]  # the origin, first of the N + 1 even e_{0,n}
-    t = np.block([[np.outer(o, o), q_e.T @ b(q_o, odd, even)],
-                  [q_o.T @ b(q_e, even, odd), np.zeros((q_o.shape[1],) * 2)]])
-    s = np.linalg.svd(t, compute_uv=False)
-    small = s[s < DIRAC_RANK_TOL]
+    t = np.block([[np.outer(o, o), q_e.T @ b(q_o, to_e)],
+                  [q_o.T @ b(q_e, to_o), np.zeros((q_o.shape[1],) * 2)]])
+    s, vecs = _spectrum(t)
     ker = coker = 0
-    if small.size:
-        vecs = [(q_e @ z[:k_e], q_o @ z[k_e:]) for z in _small_singular_vectors(t, t.T @ t, small)]
+    if vecs:
+        vecs = [(q_e @ z[:k_e], q_o @ z[k_e:]) for z in vecs]
         if flip:
             # t's right and left vectors v, u at sigma give the range's left and right
             # ones P R v, P R^T u, over sqrt(1 - sigma^2); P = 1 - q q^T projects on it
             def across(z, tr):  # P R z (tr = -1: P R^T z)
-                y = [b(z[1], odd, even, tr), b(z[0], even, odd, tr)]
+                y = [b(z[1], to_e, tr), b(z[0], to_o, tr)]
                 y[0][-N - 1] += z[0][-N - 1]
                 return [yi - q @ (q.T @ yi) for yi, q in zip(y, (q_e, q_o))]
             vecs = [across(vecs[1], -1), across(vecs[0], 1)]

@@ -271,20 +271,16 @@ class TorusPolynomial:
         twist = _lam_powers(self.lam, np.outer(self._degrees(0), self._degrees(1)))
         return TorusPolynomial(self.theta, self.c[::-1, ::-1].conj() * twist)
 
-    def box_entries(self, rep: TruncatedZ2Rep) -> tuple:
-        """The entries (rows, cols, values), each position once, of the exact
-        compression to the box: a U^a V^b sends e_{m,n} to a lambda^(mb) e_{m+a,n+b}."""
+    def box_blocks(self, rep: TruncatedZ2Rep) -> np.ndarray:
+        """The exact compression to the box, row to row: a U^a V^b sends e_{m,n}
+        to a lambda^(mb) e_{m+a,n+b}, so the block from row n to row n + b is
+        P_b[m' + N, m + N] = c_{m'-m,b} lambda^(mb), one for each b of -L..L."""
         self._same_angle(rep.theta)
-        N, w = rep.N, 2 * rep.N + 1
-        m, n = np.indices((w, w)).reshape(2, -1) - N  # the column's site
-        i, j = np.nonzero(self.c)
-        a, b = self._degrees(0)[i, None], self._degrees(1)[j, None]
-        top = N * (self.c.shape[1] // 2)  # |mb| <= top
-        phases = _lam_powers(self.lam, np.arange(-top, top + 1))[m * b + top]
-        kept = (np.abs(m + a) <= N) & (np.abs(n + b) <= N)
-        rows = ((m + a + N) * w + n + b + N)[kept]
-        cols = np.broadcast_to(np.arange(rep.dim), kept.shape)[kept]
-        return rows, cols, (self.c[i, j][:, None] * phases)[kept]
+        M, m = self.c.shape[0] // 2, np.arange(-rep.N, rep.N + 1)
+        a = m[:, None] - m  # m' - m
+        c = np.where((np.abs(a) <= M)[..., None], self.c[np.clip(a + M, 0, 2 * M)], 0)
+        phases = _lam_powers(self.lam, np.outer(m, self._degrees(1)))
+        return np.moveaxis(np.where(c != 0, c * phases, 0), -1, 0)  # 0, never -0
 
     def realize_box(self, rep: TruncatedZ2Rep) -> np.ndarray:
         """Exact compression of the polynomial to the box basis.
@@ -292,12 +288,13 @@ class TorusPolynomial:
         Matrix elements are those of the untruncated operator between box
         sites, so interior columns carry no truncation error at all.
         """
-        self._same_angle(rep.theta)
+        blocks, w = self.box_blocks(rep), 2 * rep.N + 1
         _refuse_beyond_memory(16 * rep.dim**2, f"a box matrix at N = {rep.N}")
-        out = np.zeros((rep.dim, rep.dim), dtype=complex)
-        rows, cols, values = self.box_entries(rep)
-        out[rows, cols] = values
-        return out
+        out = np.zeros((w, w, w, w), dtype=complex)  # [m', n', m, n]
+        for b, block in zip(self._degrees(1), blocks):
+            n = np.arange(max(0, -b), min(w, w - b))
+            out[:, n + b, :, n] = block
+        return out.reshape(rep.dim, rep.dim)
 
 
 # --- Rieffel projection ---------------------------------------------------------

@@ -36,7 +36,7 @@ from ncg_torus.torus_rep import (
     truncated_rep,
 )
 
-from box_oracle import dense_box_pass
+from box_oracle import dense_box_pass, flip_sectors, sector_sum
 from line_oracle import dense_odd_counts, poly_as_dict, poly_from_dict
 
 GOLDEN = "0.618033988749894848204586834365638117720309179805762862135"
@@ -438,7 +438,7 @@ class TestDiracPairing:
         # the flip's sector coordinates to the box: site x holds the sum over
         # its two slots s of weights[x, s] times coordinate at[x, s]
         vec = []
-        for (w, q, reps), (r, at, weight) in zip(sectors, fredholm._flip_sectors(N)):
+        for (w, q, reps), (r, at, weight) in zip(sectors, flip_sectors(N)):
             assert np.array_equal(reps, r) and np.all(np.diff(w) >= 0)
             vec.append((weight[:, :, None] * q[:, w >= 0.5][at]).sum(axis=1))
         vec = np.hstack(vec)
@@ -499,6 +499,24 @@ class TestDiracPairing:
         small = np.linalg.svd(t, compute_uv=False)[-1:]
         for got in fredholm._small_singular_vectors(t, t.T @ t, small):
             assert np.abs(np.abs(got[:, 0]) - [0, 0, 1]).max() <= 1e-12
+
+    def test_spectrum_reads_the_small_values_back_from_their_vectors(self):
+        # a square root of eigvalsh(t^T t) is off by up to eps ||t||^2 / sigma,
+        # 1e-8 at sigma = 0; the Ritz value ||t v|| of a small one by eps ||t||
+        rng = np.random.default_rng(11)
+        n, planted = 40, [1e-9, 0.0, 0.0101, 0.01]
+        values = np.concatenate([rng.uniform(0.5, 1.0, n - len(planted)), planted])
+        left, right = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        t = (left * values) @ right.T
+        ref = np.linalg.svd(t, compute_uv=False)
+        small = ref < fredholm.DIRAC_RANK_TOL
+        assert small.sum() == len(planted)
+        got = fredholm._spectrum(t)[0]
+        assert np.abs(got - ref)[small].max() <= 1e-15
+        assert np.abs(got - ref)[~small].max() <= 1e-13
+        # the square roots alone miss a small value by far more
+        bare = np.sqrt(np.maximum(np.linalg.eigvalsh(t.T @ t)[::-1], 0.0))
+        assert np.abs(bare - ref)[small].max() > 1e-15
 
     @pytest.mark.parametrize("N", [8, 12])
     def test_complement_side_matches_the_range_side(self, N, monkeypatch):
@@ -650,3 +668,21 @@ class TestDiracPairing:
                                     stability_check=False)
         assert second.value == -1
         assert second.details["rank"] != first.details["rank"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(theta=strategies.floats(0.05, 0.95), N=strategies.integers(2, 8))
+def test_block_sectors_match_the_entry_sum(theta, N):
+    # the pass assembles each flip sector from two row blocks, the oracle sums
+    # it entry by entry through the sector's isometry into the box; at small N
+    # row 0, the only row where the two sectors differ, is a large share of each;
+    # at theta = 1/2 an eigenvalue sits at 1/2 and rounding decides the kept side
+    rep = dirac_data(theta, N)
+    poly = rieffel_polynomial(theta, min(max(6, N // 3), N // 2))[0]  # the pass's K
+    for (w, q, reps), (ref_w, ref_q, ref_reps) in zip(
+            fredholm._mirror_polish(poly, rep), sector_sum(poly, rep)):
+        assert np.array_equal(reps, ref_reps)
+        assert np.abs(w - ref_w).max() <= 1e-13
+        if np.abs(w - 0.5).min() > fredholm.PROJECTION_TOL:  # else the pass refuses
+            kept, ref_kept = q[:, w >= 0.5], ref_q[:, ref_w >= 0.5]
+            assert np.abs(kept @ kept.T - ref_kept @ ref_kept.T).max() <= 1e-12
