@@ -246,10 +246,6 @@ def dirac_module(theta: ThetaLike, N: int) -> BoxFredholmModule:
     return BoxFredholmModule(dirac_data(theta, N))
 
 
-#: (theta, N) -> the trace-theta pass; the key is all it reads
-_dirac_cache: dict = {}
-
-
 def _mirror_polish(poly, rep: TruncatedZ2Rep) -> list:
     """For each sector of the flip P: e_{m,n} -> e_{-m,-n}, even then odd: the eigenvalues,
     ascending, and eigenvectors of the box projection p (the polynomial, of V-degree 1, on
@@ -315,9 +311,6 @@ def _spectrum(t: np.ndarray) -> tuple:
 def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     """One trace-theta box pass over the box rep."""
     N = rep.N
-    key = (rep.theta, N)
-    if key in _dirac_cache:
-        return _dirac_cache[key]
     # a pass peaks at 15.6-17.7, 14.6 and 14.3 bytes per box entry above the interpreter's
     # base at N = 16, 24 and 32 (ru_maxrss), in the second eigh; 20 leaves 13-40 % margin
     _refuse_beyond_memory(20 * rep.dim**2, f"a box pass at N = {N}")
@@ -393,14 +386,10 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
         # bulk and the other for edge; bulk on both sides breaks that
         raise UnstableIndex(f"the box pass at N = {N} counts bulk modes on both "
                             f"sides (kernel {ker}, cokernel {coker})")
-    out = {"value": ker - coker, "kernel": ker, "cokernel": coker, "rank": rank,
-           "sigma_min": float(s[-1]),  # a side of one value lacks sigma_next, a 1
-           "sigma_next": float(np.append(1.0, s)[-2]) if rank > 1 else None,
-           "gap_half": gap, "build_defect": build_defect}
-    if len(_dirac_cache) >= 8:  # a recheck chain reads back only its last passes
-        _dirac_cache.clear()
-    _dirac_cache[key] = out
-    return out
+    return {"value": ker - coker, "kernel": ker, "cokernel": coker, "rank": rank,
+            "sigma_min": float(s[-1]),  # a side of one value lacks sigma_next, a 1
+            "sigma_next": float(np.append(1.0, s)[-2]) if rank > 1 else None,
+            "gap_half": gap, "build_defect": build_defect}
 
 
 def dirac_even_pairing(module: BoxFredholmModule, p: str,

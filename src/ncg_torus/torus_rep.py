@@ -26,6 +26,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
@@ -75,7 +76,11 @@ def _refuse_beyond_memory(nbytes: int, what: str) -> None:
     """Raise ExceedsMemory before a dense build estimated past physical memory."""
     ceiling = _physical_memory()
     if nbytes > ceiling:
-        raise ExceedsMemory(f"{what} needs about {nbytes / 2**30:.3g} GiB, more "
+        try:
+            need = nbytes / 2**30
+        except OverflowError:  # past about 1e308 GiB, beyond a float
+            need = Decimal(nbytes) / 2**30
+        raise ExceedsMemory(f"{what} needs about {need:.3g} GiB, more "
                             f"than the {ceiling / 2**30:.3g} GiB of physical memory")
 
 

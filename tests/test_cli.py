@@ -484,12 +484,17 @@ class TestRepDumpCommand:
     ("rep-dump", "--rep", "z1", "--theta", "0.3", "--N", "100"),
     ("pair", "--module", "dirac", "--class", "p", "--N", "8"),
     ("pair", "--module", "z0prime", "--class", "p", "--theta", "1/20000"),
-], ids=["clock dump", "box dump", "line dump", "box pass", "clock projection"])
+    ("rep-dump", "--rep", "clock", "--theta", "1/1" + "0" * 400),
+    ("rep-dump", "--rep", "z1", "--theta", "0.3", "--N", "1" + "0" * 200),
+    ("rep-dump", "--rep", "dirac", "--theta", "0.3", "--N", "1" + "0" * 200),
+    ("pair", "--module", "dirac", "--class", "p", "--theta", "0.3", "--N", "1" + "0" * 200),
+], ids=["clock dump", "box dump", "line dump", "box pass", "clock projection",
+        "huge clock dump", "huge line dump", "huge box dump", "huge box pass"])
 def test_requests_beyond_memory_exit_2(capsys, monkeypatch, argv):
     # a 1 MiB ceiling refuses each call before its build; without the guard
-    # each would need only a few MB
+    # each of the first five would need only a few MB, and the last four
+    # need more GiB than a float holds
     monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**20)
-    monkeypatch.setattr(fredholm, "_dirac_cache", {})  # a cached pass needs none
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "physical memory" in err

@@ -452,10 +452,9 @@ class TestDiracPairing:
         assert np.abs(proj - kept @ kept.conj().T).max() <= 1e-10
 
     @pytest.mark.parametrize("theta,N", BOX_ORACLE_CASES)
-    def test_pass_matches_the_dense_oracle(self, theta, N, monkeypatch):
+    def test_pass_matches_the_dense_oracle(self, theta, N):
         # the pass's real compression, values-only SVD, shifted solves and
         # mirror-basis masses against complex eigh, full SVD and box masses
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
         try:
             want = dense_box_pass(theta, N)
         except UnstableIndex:
@@ -519,11 +518,10 @@ class TestDiracPairing:
         assert np.abs(bare - ref)[small].max() > 1e-15
 
     @pytest.mark.parametrize("N", [8, 12])
-    def test_complement_side_matches_the_range_side(self, N, monkeypatch):
+    def test_complement_side_matches_the_range_side(self, N):
         # the projections at theta and 1 - theta have complementary ranks, so
         # the pass at theta < 1/2 works on the range of p and the one at
         # 1 - theta on its complement: the integers and the evidence agree
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
         dim = (2 * N + 1) ** 2
         for theta in (0.2, 0.31, 0.3375, 0.42, 0.455, 0.4975):
             low, high = (fredholm._dirac_single(dirac_data(x, N)) for x in (theta, 1 - theta))
@@ -536,7 +534,6 @@ class TestDiracPairing:
     def test_pass_runs_under_its_memory_estimate(self, monkeypatch):
         # a ceiling of 60 bytes per box entry, above the pass's estimate of
         # 20: the pass runs and pairs -1
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
         module = dirac_module("0.455", 8)
         monkeypatch.setattr(torus_rep, "_physical_memory",
                             lambda: 60 * module.base.dim**2)
@@ -546,7 +543,6 @@ class TestDiracPairing:
     def test_split_pass_runs_under_36_bytes_an_entry(self, monkeypatch):
         # a ceiling of 36 bytes per box entry holds the split pass, where the
         # unsplit pass's estimate of 48 was refused
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
         module = dirac_module("0.455", 8)
         monkeypatch.setattr(torus_rep, "_physical_memory",
                             lambda: 36 * module.base.dim**2)
@@ -557,29 +553,23 @@ class TestDiracPairing:
         # sectors summed from the coefficients, with no complex box matrix and
         # no mirror matrix, bring the estimate to 20 bytes per box entry: a
         # ceiling of 24 holds the pass, where the estimate of 32 was refused,
-        # and one of 19 refuses it
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
+        # and one of 19 refuses it, though the same module has just paired
         module = dirac_module("0.455", 8)
         monkeypatch.setattr(torus_rep, "_physical_memory",
                             lambda: 24 * module.base.dim**2)
         res = dirac_even_pairing(module, "trace-theta", stability_check=False)
         assert res.value == -1
-        fredholm._dirac_cache.clear()
         monkeypatch.setattr(torus_rep, "_physical_memory",
                             lambda: 19 * module.base.dim**2)
         with pytest.raises(ExceedsMemory, match="a box pass at N = 8"):
             dirac_even_pairing(module, "trace-theta", stability_check=False)
 
-    def test_pass_cache_keeps_only_the_last_passes(self, monkeypatch):
-        # a recheck chain reads back its own last passes; a process that
-        # pairs a pool of angles computes an angle again when the pool wraps
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
-        for theta in [0.35 + 0.01 * k for k in range(12)]:
-            fredholm._dirac_single(dirac_data(theta, 4))
-        assert 0 < len(fredholm._dirac_cache) <= 8
-        assert (0.35, 4) not in fredholm._dirac_cache
-
     def test_mirror_asymmetric_projection_is_rejected(self, monkeypatch):
+        # a clean pass at the same angle and N comes first: the gate still
+        # runs on the defective polynomial
+        dirac_even_pairing(dirac_module(GOLDEN, 6), "trace-theta",
+                           stability_check=False)
+
         def broken(theta, K):
             poly, delta = rieffel_polynomial(theta, K)
             d = poly_as_dict(poly)
@@ -587,7 +577,6 @@ class TestDiracPairing:
             return poly_from_dict(theta, d), delta
 
         monkeypatch.setattr(fredholm, "rieffel_polynomial", broken)
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
         with pytest.raises(NotAProjection):
             dirac_even_pairing(dirac_module(GOLDEN, 6), "trace-theta",
                                stability_check=False)
@@ -624,7 +613,6 @@ class TestDiracPairing:
 
         monkeypatch.setattr(fredholm, "rieffel_polynomial", broken)
         monkeypatch.setattr(fredholm, "_mirror_polish", polished)
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
         with pytest.raises(NotAProjection, match="flip defect"):
             dirac_even_pairing(dirac_module(GOLDEN, 6), "trace-theta",
                                stability_check=False)
@@ -650,17 +638,15 @@ class TestDiracPairing:
             return built[-1]
 
         monkeypatch.setattr(fredholm, "dirac_data", recording)
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
         module = dirac_module(GOLDEN, 12)
         assert dirac_even_pairing(module, "trace-theta").value == -1
         assert [rep.N for rep in built] == [12, 16]
         for rep in built:
             assert "U" not in vars(rep) and "V" not in vars(rep)
 
-    def test_cache_answers_only_for_the_angle_it_was_built_at(self, monkeypatch):
+    def test_pass_answers_only_for_the_angle_of_its_rep(self):
         # a rep hand-built at theta = 0.1 is paired first; the box at
         # theta = 0.45 and the same N must still get a pass of its own
-        monkeypatch.setattr(fredholm, "_dirac_cache", {})
         other = dataclasses.replace(dirac_data("0.45", 12), theta=0.1)
         first = dirac_even_pairing(BoxFredholmModule(other), "trace-theta",
                                    stability_check=False)

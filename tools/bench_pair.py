@@ -13,6 +13,14 @@ its length in seconds, read from the run's stderr header, and, per
 workload and checkout, the median of each metric, with the ratio of the
 medians (this checkout over the other) and, per metric, how many pairs
 this checkout won.  Standard library only.
+
+Noise floor: ``light_cli`` carries a bias of about 1 % between two
+checkouts of the same code, whose cause was not found.  One commit run
+from its own checkout against a fresh ``git clone`` of it in another
+directory lost 4 of 4 ``light_cli`` pairs (``ops_per_s`` 3018-3087
+against 3055-3100; 2 cores, OpenBLAS, one BLAS thread).  A ``light_cli``
+difference of that size, or a lopsided win count with it, says nothing
+about the code.
 """
 
 from __future__ import annotations
