@@ -19,7 +19,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -56,8 +55,8 @@ def render_json(obj) -> str:
 
 
 def _render(obj, out: list) -> None:
-    # the exact builtin types a report holds, then the few other scalars;
-    # subclasses of the builtins are not written
+    # the exact builtin types a report holds; subclasses of the builtins,
+    # numpy scalars and fractions are not written
     kind = type(obj)
     if kind is float:
         out.append("%.17g" % obj)
@@ -73,12 +72,6 @@ def _render(obj, out: list) -> None:
         out.append("null")
     elif kind is bool:
         out.append("true" if obj else "false")
-    elif isinstance(obj, np.integer):
-        out.append(str(int(obj)))
-    elif isinstance(obj, np.floating):
-        out.append("%.17g" % float(obj))
-    elif isinstance(obj, Fraction):
-        out.append(_quote(str(obj)))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -338,7 +338,7 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
         # falls on, and with it the rank of the compression
         raise UnstableIndex(
             f"an eigenvalue of the box projection lies {gap:.1e} from 1/2")
-    rank = rep.dim - sum(cut := [np.searchsorted(w, 0.5) for w in (w_e, w_o)])  # w ascends
+    rank = rep.dim - sum(cut := [int(np.searchsorted(w, 0.5)) for w in (w_e, w_o)])  # w ascends
     if rank in (0, rep.dim):  # the compression is then 0 or the phase itself
         raise UnstableIndex(f"the box projection at N = {N} has rank {rank} "
                             f"of {rep.dim}, so its compression decides nothing")
@@ -356,8 +356,8 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
         return g[0] * z[g[2]] + tr * g[1] * z[g[3]]
     # R = [[e_0 e_0^T, B], [B, 0]] compressed to the range of p or, if it has
     # fewer columns, to the complement, whose values add to t's only 1s
-    flip = 2 * rank > rep.dim
-    q_e, q_o = (q[:, :j] if flip else q[:, j:] for q, j in zip((q_e, q_o), cut))
+    complement = 2 * rank > rep.dim
+    q_e, q_o = (q[:, :j] if complement else q[:, j:] for q, j in zip((q_e, q_o), cut))
     o, k_e = q_e[-N - 1], q_e.shape[1]  # the origin, first of the N + 1 even e_{0,n}
     t = np.block([[np.outer(o, o), q_e.T @ b(q_o, to_e)],
                   [q_o.T @ b(q_e, to_o), np.zeros((q_o.shape[1],) * 2)]])
@@ -365,7 +365,7 @@ def _dirac_single(rep: TruncatedZ2Rep) -> dict:
     ker = coker = 0
     if vecs:
         vecs = [(q_e @ z[:k_e], q_o @ z[k_e:]) for z in vecs]
-        if flip:
+        if complement:
             # t's right and left vectors v, u at sigma give the range's left and right
             # ones P R v, P R^T u, over sqrt(1 - sigma^2); P = 1 - q q^T projects on it
             def across(z, tr):  # P R z (tr = -1: P R^T z)

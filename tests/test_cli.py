@@ -39,20 +39,18 @@ class TestJsonWriter:
 
 
 def _oracle_render(obj, out: list) -> None:
-    """The writer as it was before the exact-type dispatch, kept as the
-    reference for ``render_json``'s bytes."""
+    """The writer as it was before the exact-type dispatch, narrowed to
+    Python's JSON types, kept as the reference for ``render_json``'s bytes."""
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append("%.17g" % float(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append("%.17g" % obj)
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, Fraction):
-        out.append(json.dumps(str(obj)))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -79,9 +77,7 @@ _EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
                                 5e-324, -2.2250738585072009e-308, 1e308])
 _FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
 _SCALARS = st.one_of(
-    _FLOATS, st.none(), st.booleans(), st.integers(), st.text(max_size=5),
-    st.fractions(), _FLOATS.map(np.float64),
-    st.integers(-2**63, 2**63 - 1).map(np.int64))
+    _FLOATS, st.none(), st.booleans(), st.integers(), st.text(max_size=5))
 _REPORTS = st.recursive(_SCALARS, lambda kids: st.one_of(
     st.lists(_FLOATS), st.lists(_FLOATS).map(tuple), st.lists(kids),
     st.lists(kids).map(tuple), st.dictionaries(st.text(max_size=5), kids)),
@@ -94,6 +90,37 @@ def test_render_json_matches_the_recursive_writer(obj):
     pieces: list = []
     _oracle_render(obj, pieces)
     assert render_json(obj) == "".join(pieces)
+
+
+def _box_report(klass):
+    return fredholm.dirac_even_pairing(fredholm.dirac_module("0.45", 12), klass)
+
+
+def _clock_report(dense):
+    rep = torus_rep.clock_shift(2, 5)
+    spec = torus_rep.rieffel_projection(Fraction(2, 5), rep)
+    if dense:
+        mod = fredholm.canonical_even({"U": rep.U, "V": rep.V})
+        return fredholm.even_pairing(mod, spec.matrix)
+    return fredholm.even_pairing(fredholm.EvenFredholmModule(rep.q), spec)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: _box_report("trace-theta"),
+    lambda: _box_report("one"),
+    lambda: fredholm.odd_pairing(
+        fredholm.canonical_odd(torus_rep.truncated_rep("0.45", 8)), "U"),
+    lambda: _clock_report(dense=False),
+    lambda: _clock_report(dense=True),
+], ids=["box-trace-theta", "box-one", "odd", "even-clock-spec", "even-dense"])
+def test_every_pairing_report_holds_only_json_types(pair):
+    obj = pair().to_json_obj()
+    assert json.loads(json.dumps(obj)) == obj
+    assert json.loads(render_json(obj)) == obj
+    # the writer writes nothing else, so a leaked scalar fails here
+    for value in (np.int64(1), np.float64(0.5), Fraction(1, 3)):
+        with pytest.raises(TypeError):
+            render_json(value)
 
 
 class TestCfCommand:

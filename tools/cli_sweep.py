@@ -8,7 +8,10 @@ and ``NCG_TORUS_PRECISION`` unset.  The exit code, stdout and stderr are
 compared; stderr without its ``wall time:`` line.  Stdout is compared byte
 for byte, except in the ``box`` set: its floats depend on the BLAS build
 and may differ by 1e-12, while every other JSON value must be equal.
-Every call that differs is listed, and the script exits 1 if any does.
+Every non-empty stdout of this checkout must also parse as strict JSON,
+with no ``NaN`` or ``Infinity``; a call whose stdout does not counts as
+differing.  Every call that differs is listed, and the script exits 1 if
+any does.
 Standard library only.
 
 The call sets:
@@ -136,6 +139,20 @@ def same_stdout(name: str, a: str, b: str) -> bool:
     return same_up_to_floats(json.loads(a), json.loads(b))
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str) -> bool:
+    """Empty, or one JSON value with no NaN or Infinity."""
+    if text:
+        try:
+            json.loads(text, parse_constant=_reject_constant)
+        except ValueError:  # json.JSONDecodeError is a ValueError
+            return False
+    return True
+
+
 def run_here(src: str, calls: list) -> list:
     """Each call's [exit code, stdout, stderr without the wall-time line]."""
     sys.path.insert(0, src)
@@ -185,15 +202,17 @@ def main() -> int:
         n = len(argvs)
         bad = []
         for argv, a, b in zip(argvs, here[start:start + n], there[start:start + n]):
-            same = (a[0] == b[0], same_stdout(name, a[1], b[1]), a[2] == b[2])
-            if not all(same):
-                bad.append((argv, a, b, same))
+            checks = (a[0] == b[0], same_stdout(name, a[1], b[1]), a[2] == b[2],
+                      strict_json(a[1]))
+            if not all(checks):
+                bad.append((argv, a, b, checks))
         start += n
         differ += len(bad)
         print(f"{name}: {n} calls, {len(bad)} differ")
-        for argv, a, b, same in bad:
-            fields = [f for f, ok in zip(("exit", "stdout", "stderr"), same) if not ok]
-            print(f"  {' '.join(argv)}: {', '.join(fields)} differ"
+        for argv, a, b, checks in bad:
+            fields = [f for f, ok in zip(("exit differs", "stdout differs", "stderr differs",
+                                          "stdout here is not strict JSON"), checks) if not ok]
+            print(f"  {' '.join(argv)}: {'; '.join(fields)}"
                   f" (here exit {a[0]}, there exit {b[0]})")
     return 1 if differ else 0
 
