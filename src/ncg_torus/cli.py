@@ -56,10 +56,13 @@ def render_json(obj) -> str:
 
 def _render(obj, out: list) -> None:
     # the exact builtin types a report holds; subclasses of the builtins,
-    # numpy scalars and fractions are not written
+    # numpy scalars, fractions and non-finite floats are not written
     kind = type(obj)
     if kind is float:
-        out.append("%.17g" % obj)
+        text = "%.17g" % obj
+        if "n" in text:  # of the %.17g texts only nan, inf and -inf hold an n
+            raise ValueError(f"JSON has no float {text}")
+        out.append(text)
     elif kind is list or kind is tuple:
         _render_items(obj, out)
     elif kind is dict:
@@ -81,7 +84,10 @@ def _render_items(obj, out: list) -> None:
         if type(item) is not float:
             break
     else:  # a flat run of floats, such as an [re, im] pair, in one join
-        out.append("[" + ",".join(["%.17g" % item for item in obj]) + "]")
+        text = ",".join(["%.17g" % item for item in obj])
+        if "n" in text:
+            raise ValueError(f"JSON has no float in [{text}]")
+        out.append("[" + text + "]")
         return
     out.append("[")
     for i, item in enumerate(obj):

@@ -35,7 +35,7 @@ sits in the bulk.  Truncation artifacts live at the edge in both cases.
 
 from __future__ import annotations
 
-import dataclasses
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -44,8 +44,7 @@ import numpy as np
 from .errors import (InvalidInput, NonIntegerPairing, NotAProjection, NotUnitary,
                      RepresentationTooSmall, UnstableIndex, UnsupportedForm)
 from .torus_rep import (RieffelProjectionSpec, ThetaLike, TruncatedZ2Rep, TruncatedZRep,
-                        _op_norm, _refuse_beyond_memory, dirac_data, rieffel_polynomial,
-                        truncated_rep)
+                        _op_norm, _refuse_beyond_memory, dirac_data, rieffel_polynomial)
 
 #: the odd route's reported rank tolerance; its compressions have singular
 #: values exactly 0 or 1, so its exact counts are the numbers below this
@@ -172,11 +171,10 @@ def canonical_odd(rep: TruncatedZRep, fiber_dim: int = 1) -> OddFredholmModule:
     return OddFredholmModule(rep, fiber_dim)
 
 
-def _recheck(module, value: int, details: dict,
+def _recheck(N: int, value: int, details: dict,
              value_at: Callable[[int], int]) -> None:
-    """Stability rule of both index routes: value_at(N + 4), the value of
-    the module rebuilt at the larger truncation, must agree."""
-    N = module.base.N
+    """Stability rule of both index routes: value_at(N + 4), the route's
+    value recomputed at the larger truncation, must agree with the value at N."""
     again = value_at(N + 4)
     if again != value:
         raise UnstableIndex(f"index {value} at N = {N} became {again} at N = {N + 4}")
@@ -225,17 +223,14 @@ def odd_pairing(module: OddFredholmModule, u: str,
     if N < margin + 2:
         raise RepresentationTooSmall(
             f"N = {N} leaves no bulk for a word of bandwidth {bw}")
-    bulk = N - margin + 1  # columns 0 <= k <= N - margin
-    ker = module.fiber_dim * min(max(-shift, 0), bulk)
-    coker = module.fiber_dim * min(max(shift, 0), bulk)
-    value = ker - coker
+
+    def counts(n: int) -> tuple[int, int]:  # kernel, cokernel on bulk columns k <= n - margin
+        return tuple(module.fiber_dim * min(max(s, 0), n - margin + 1) for s in (-shift, shift))
+    ker, coker = counts(N)
     details = {"kernel": ker, "cokernel": coker, "bandwidth": bw}
     if stability_check:
-        _recheck(module, value, details, lambda n: odd_pairing(
-            dataclasses.replace(module, base=truncated_rep(
-                base.theta, n, base.variant)),
-            u, stability_check=False).value)
-    return PairingResult(value, "kernel-index", N, ODD_RANK_TOL,
+        _recheck(N, ker - coker, details, lambda n: operator.sub(*counts(n)))
+    return PairingResult(ker - coker, "kernel-index", N, ODD_RANK_TOL,
                          stability_check, details)
 
 
@@ -404,19 +399,17 @@ def dirac_even_pairing(module: BoxFredholmModule, p: str,
     rep = module.base
     N = rep.N
     if p == "trace-theta":
-        first = _dirac_single(rep)
-        value = first["value"]
-        details = {k: v for k, v in first.items() if k != "value"}
+        details = _dirac_single(rep)
+        value = details.pop("value")
+        if stability_check:
+            _recheck(N, value, details, lambda n: _dirac_single(
+                dirac_data(rep.theta, n))["value"])
     elif p == "one":
-        # full range; the compression is the unitary phase itself
+        # full range; the compression is the unitary phase itself, exact: no recheck
         value, details = 0, {"kernel": 0, "cokernel": 0, "rank": rep.dim,
                              "sigma_min": 1.0, "sigma_next": 1.0, "gap_half": 0.5}
     else:
         raise UnsupportedForm("pass the class token 'trace-theta' or 'one'")
-    # "one" compresses to an exact unitary: no recheck
-    if stability_check and p == "trace-theta":
-        _recheck(module, value, details, lambda n: _dirac_single(
-            dirac_data(rep.theta, n))["value"])
     return PairingResult(value, "compressed-index", N, DIRAC_RANK_TOL,
                          stability_check, details)
 

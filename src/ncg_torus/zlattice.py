@@ -215,7 +215,7 @@ class IntegerMatrixMap:
     def kernel_generators(self) -> tuple[Vector, ...]:
         if self.domain.rank == 0:
             return ()
-        if self.codomain.rank == 0 or not any(any(r) for r in self.matrix):
+        if self.codomain.rank == 0:  # smith_normal_form refuses an empty matrix
             return tuple(
                 tuple(int(i == j) for i in range(self.domain.rank))
                 for j in range(self.domain.rank)

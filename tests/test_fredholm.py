@@ -195,16 +195,8 @@ class TestOddPairing:
         res2 = odd_pairing(mod, "U", stability_check=False)
         assert res2.value == res.value and not res2.stable
 
-    def test_unstable_rebuild_is_caught(self, monkeypatch):
-        # a recheck that lands in the other variant flips the answer
-        mod = canonical_odd(truncated_rep(GOLDEN, 8))
-        monkeypatch.setattr(fredholm, "truncated_rep",
-                            lambda theta, n, variant: truncated_rep(theta, n, "z1prime"))
-        with pytest.raises(UnstableIndex, match="-1 at N = 8 became 0 at N = 12"):
-            odd_pairing(mod, "U")
-
     def test_hand_built_module_is_rechecked(self):
-        # the recheck rebuilds the module from its rep's angle and variant
+        # the recheck recounts at N + 4 with the variant and fiber of the module's rep
         res = odd_pairing(OddFredholmModule(truncated_rep(GOLDEN, 8, "z1prime")), "V")
         assert res.stable and res.value == -1
         assert (res.details["N_recheck"], res.details["value_recheck"]) == (12, -1)
@@ -242,21 +234,18 @@ class TestOddPairing:
                 build(truncated_rep("0.45", 8), 0)
 
     def test_certified_pairing_builds_no_dense_generator(self, monkeypatch):
-        # the recheck really runs at N + 4, and neither the module's rep
-        # nor the rebuilt one builds dense U or V
-        built = []
-
-        def recording(theta, n, variant):
-            built.append(truncated_rep(theta, n, variant))
-            return built[-1]
-
-        monkeypatch.setattr(fredholm, "truncated_rep", recording)
+        # the count and its recount at N + 4 read only the exponents: a
+        # certified pairing builds no line rep and no dense U or V
         base = truncated_rep(GOLDEN, 8, "z1prime")
+        built = []
+        init = TruncatedZRep.__post_init__
+        monkeypatch.setattr(TruncatedZRep, "__post_init__",
+                            lambda rep: (built.append(rep.N), init(rep))[1])
+        monkeypatch.setattr(TruncatedZRep, "_dense",
+                            lambda rep, *args: built.append("dense"))
         res = odd_pairing(canonical_odd(base), "V^2")
-        assert res.stable and res.value == -2
-        assert [rep.N for rep in built] == [12]
-        for rep in (base, *built):
-            assert "U" not in vars(rep) and "V" not in vars(rep)
+        assert res.stable and res.value == -2 and res.details["N_recheck"] == 12
+        assert built == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)

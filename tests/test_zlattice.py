@@ -224,6 +224,13 @@ def test_exactness_boundary_then_restriction():
     assert not rep.exact
 
 
+def test_kernel_of_a_zero_map_is_the_unit_basis():
+    # the zero matrix goes through smith_normal_form, whose V stays the identity
+    zero = IntegerMatrixMap("z", FreeAbelianGroup(3, ("u", "v", "w"), "X"),
+                            FreeAbelianGroup(2, ("s", "t"), "Y"), ((0, 0, 0), (0, 0, 0)))
+    assert zero.kernel_generators() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def test_shape_mismatch_raises():
     f, _ = _chain(((2,),), ((0,),))
     other = IntegerMatrixMap(

@@ -26,7 +26,8 @@ The call sets:
   horizon and explicit ones;
 * ``box``: ``pair --module dirac --class p`` on the ``box_pair`` angle pool
   of ``benchmark/workloads.py`` at N = 12, on the small-N, default-N and
-  refused calls listed in ROADMAP.md, at N = 12 and 20 on small and
+  refused calls listed in ROADMAP.md, among them 0.12, 0.19 and 0.9175 at
+  the default N, which certify a wrong 0, at N = 12 and 20 on small and
   large angles, where the ramps are narrow: 0.005 to 0.0225, 0.975 to
   0.995 and the subnormal 1e-310, and at N = 16 on angles above 1/2 with a
   near-kernel mode (0.725, 0.69 and golden) and their partners 1 - theta:
@@ -106,7 +107,8 @@ def box_calls() -> list:
     calls += [base + ["--N", "2"], base + ["--N", "6"],
               base + ["--theta", "0.4", "--N", "8"], base + ["--theta", "0.2", "--N", "12"],
               base + ["--theta", "0.3", "--N", "16"], base + ["--theta", "1e-5", "--N", "4"]]
-    calls += [base + ["--theta", a] for a in ("0.05", "0.1", "0.9", "0.01", "0.97", "0.99")]
+    calls += [base + ["--theta", a] for a in ("0.05", "0.1", "0.9", "0.01", "0.97", "0.99",
+                                              "0.12", "0.19", "0.9175")]
     partners = ("0.69", "0.31", "golden",
                 "0.381966011250105151795413165634361882279690820194237137865")
     calls += [base + ["--theta", a, "--N", "16"] for a in ("0.725", "0.275") + partners]
