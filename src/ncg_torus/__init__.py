@@ -7,6 +7,8 @@ pairings, and the AF-tower trace/pairing machinery, with a batch CLI.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from . import errors
 from .af_tower import (
     BratteliTower,
@@ -24,23 +26,6 @@ from .exact_arith import (
     golden_string,
     parse_theta,
 )
-from .fredholm import (
-    PairingResult,
-    canonical_even,
-    canonical_odd,
-    conjugate_module,
-    dirac_even_pairing,
-    dirac_module,
-    even_pairing,
-    odd_pairing,
-)
-from .torus_rep import (
-    TorusPolynomial,
-    clock_shift,
-    dirac_data,
-    rieffel_projection,
-    truncated_rep,
-)
 from .zlattice import (
     CyclicSequence,
     IntegerMatrixMap,
@@ -50,6 +35,29 @@ from .zlattice import (
     smith_normal_form,
 )
 
+#: the numeric layer's public names and their modules, imported on first use
+#: (PEP 562), so that the exact layers and the CLI's exact subcommands never
+#: load numpy
+_NUMERIC = {
+    **dict.fromkeys(("PairingResult", "canonical_even", "canonical_odd", "conjugate_module",
+                     "dirac_even_pairing", "dirac_module", "even_pairing", "odd_pairing"),
+                    "fredholm"),
+    **dict.fromkeys(("TorusPolynomial", "clock_shift", "dirac_data", "rieffel_projection",
+                     "truncated_rep"), "torus_rep"),
+}
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        value = getattr(importlib.import_module(f"{__name__}.{_NUMERIC[name]}"), name)
+    elif name in _NUMERIC.values():  # ncg_torus.fredholm, ncg_torus.torus_rep
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
 __all__ = [
     "errors",
     "__version__",
@@ -58,30 +66,18 @@ __all__ = [
     "ConvergentTable",
     "CyclicSequence",
     "IntegerMatrixMap",
-    "PairingResult",
-    "TorusPolynomial",
     "build_tower",
     "builtin_khomology_sequence",
     "builtin_ktheory_sequence",
-    "canonical_even",
-    "canonical_odd",
     "cf_expand",
-    "clock_shift",
-    "conjugate_module",
     "convergents",
-    "dirac_data",
-    "dirac_even_pairing",
-    "dirac_module",
-    "even_pairing",
     "golden_string",
     "hermite_normal_form",
     "inverse_limit_coefficients",
-    "odd_pairing",
     "pairing_along_tower",
     "parse_theta",
     "push_k0_class",
-    "rieffel_projection",
     "smith_normal_form",
     "trace_weights",
-    "truncated_rep",
+    *_NUMERIC,
 ]

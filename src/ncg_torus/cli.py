@@ -21,23 +21,10 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
 
-import numpy as np
-
 from . import zlattice
 from .af_tower import build_tower, inverse_limit_coefficients, pairing_along_tower, trace_weights
 from .errors import InputError, InstabilityError, InvalidInput, MathCheckError
 from .exact_arith import cf_expand, convergents, golden_string, parse_theta
-from .fredholm import (
-    EvenFredholmModule,
-    PairingResult,
-    canonical_odd,
-    dirac_even_pairing,
-    dirac_module,
-    even_pairing,
-    odd_pairing,
-)
-from .torus_rep import (ClockShiftRep, _refuse_beyond_memory, clock_shift, dirac_data,
-                        rieffel_projection, truncated_rep)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -110,10 +97,9 @@ def _render_dict(obj, out: list) -> None:
     out.append("}")
 
 
-def _matrix_dump(mat: np.ndarray) -> list:
+def _matrix_dump(mat) -> list:
     """Row-major [re, im] pairs."""
-    m = np.asarray(mat, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
+    return mat.astype(complex, order="C").view(float).reshape(mat.shape + (2,)).tolist()
 
 
 # --- argument helpers --------------------------------------------------------------
@@ -126,17 +112,21 @@ def _theta_text(raw: str) -> str:
         except ValueError:
             raise InvalidInput(
                 f"NCG_TORUS_PRECISION={text!r} is not an integer") from None
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if limit and nd > limit:  # refused before any digit is computed
+            raise InvalidInput(f"NCG_TORUS_PRECISION={nd} is past the {limit}-digit int limit")
         return golden_string(nd)  # rejects nd < 1
     return raw
 
 
-def _clock_rep(raw: str) -> ClockShiftRep:
+def _clock_rep(raw: str):
     """The clock-shift rep at an exact rational angle n/d, as (n mod d)/d."""
+    from . import torus_rep
     value, radius = parse_theta(_theta_text(raw))
     if radius != 0:
         raise InvalidInput(
             f"this command needs an exact rational angle, got {raw!r}")
-    return clock_shift(value.numerator % value.denominator, value.denominator)
+    return torus_rep.clock_shift(value.numerator % value.denominator, value.denominator)
 
 
 # --- subcommands --------------------------------------------------------------------
@@ -163,6 +153,7 @@ _CLASSES = {"z0": ("1", "p"), "z0prime": ("1", "p"), "z1": ("U", "V"),
 
 
 def cmd_pair(args) -> dict:
+    from . import fredholm, torus_rep
     theta = _theta_text(args.theta)
     parse_theta(theta)  # z0 reads no angle, but junk is rejected everywhere
     module, klass = args.module, args.klass
@@ -179,24 +170,25 @@ def cmd_pair(args) -> dict:
             f"module {module} pairs with classes {' and '.join(classes)}")
     N = 16 if args.N is None else args.N
     if odd:
-        res = odd_pairing(canonical_odd(truncated_rep(theta, N, module)),
-                          f"{klass}^{args.power}", stability_check=not args.no_stability)
+        res = fredholm.odd_pairing(
+            fredholm.canonical_odd(torus_rep.truncated_rep(theta, N, module)),
+            f"{klass}^{args.power}", stability_check=not args.no_stability)
     elif clock:
         # a clock module is its dimension q; z0 is the one at q = 1, where p is 0
-        rep = clock_shift(0, 1) if module == "z0" else _clock_rep(args.theta)
+        rep = torus_rep.clock_shift(0, 1) if module == "z0" else _clock_rep(args.theta)
         if (module, klass) == ("z0prime", "p"):
-            res = even_pairing(EvenFredholmModule(rep.q),
-                               rieffel_projection(rep.theta, rep))
+            res = fredholm.even_pairing(fredholm.EvenFredholmModule(rep.q),
+                                        torus_rep.rieffel_projection(rep.theta, rep))
         else:  # the identity, of trace q, or p at q = 1: exact, with no defect
             n = rep.q if klass == "1" else 0
             if n > sys.float_info.max:  # the raw trace is a float
                 raise InvalidInput(f"the trace of 1 at theta {theta!r} does not fit in a float")
-            res = PairingResult(n, "trace-formula", rep.q, None, True, {
+            res = fredholm.PairingResult(n, "trace-formula", rep.q, None, True, {
                 "raw_trace": float(n), "idempotency_defect": 0.0, "adjoint_defect": 0.0})
     else:
-        res = dirac_even_pairing(dirac_module(theta, N),
-                                 "one" if klass == "1" else "trace-theta",
-                                 stability_check=not args.no_stability)
+        res = fredholm.dirac_even_pairing(fredholm.dirac_module(theta, N),
+                                          "one" if klass == "1" else "trace-theta",
+                                          stability_check=not args.no_stability)
     return {"module": module, "class": klass, "theta": theta,
             "result": res.to_json_obj()}
 
@@ -263,18 +255,19 @@ def cmd_tower(args) -> dict:
 
 
 def cmd_rep_dump(args) -> dict:
+    from . import torus_rep
     theta = _theta_text(args.theta)
     out = {"rep": args.rep, "theta": theta}
     if args.rep == "clock":
         rep = _clock_rep(args.theta)
     elif args.rep == "dirac":
-        rep = dirac_data(theta, args.N)
+        rep = torus_rep.dirac_data(theta, args.N)
     else:
-        rep = truncated_rep(theta, args.N, args.rep)
+        rep = torus_rep.truncated_rep(theta, args.N, args.rep)
         out["defective_generator"] = rep.defective_generator
     # refused before any generator is built: the U and V lists and their
     # JSON peak at 500 bytes a matrix entry (ru_maxrss)
-    _refuse_beyond_memory(512 * rep.dim**2, f"a dump of {rep.dim**2} matrix entries")
+    torus_rep._refuse_beyond_memory(512 * rep.dim**2, f"a dump of {rep.dim**2} matrix entries")
     out.update(dim=rep.dim, U=_matrix_dump(rep.U), V=_matrix_dump(rep.V))
     if args.rep != "clock":
         out["N"] = rep.N

@@ -21,6 +21,7 @@ Input conventions for theta:
 from __future__ import annotations
 
 import decimal
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +50,7 @@ def parse_theta(text: ThetaLike) -> tuple[Fraction, Fraction]:
         try:
             value = Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError) as exc:
+            _refuse_past_int_limit(s)
             raise InvalidInput(f"bad rational {text!r}") from exc
         return value, Fraction(0)
     radius = Fraction(0)  # bare integer literal is exact
@@ -70,8 +72,17 @@ def parse_theta(text: ThetaLike) -> tuple[Fraction, Fraction]:
     try:
         value = Fraction(s)
     except ValueError as exc:
+        _refuse_past_int_limit(s)
         raise InvalidInput(f"bad decimal {text!r}") from exc
     return value, radius
+
+
+def _refuse_past_int_limit(s: str) -> None:
+    limit = sys.get_int_max_str_digits()  # the longest digit run int() reads; 0: any
+    run = max((len(r.replace("_", "")) for r in re.findall(r"[\d_]+", s)), default=0)
+    if limit and run > limit:
+        raise InvalidInput(f"{s[:24]!r}... has {run} digits in a row, past the "
+                           f"{limit}-digit int limit") from None
 
 
 def golden_string(ndigits: int = 60) -> str:

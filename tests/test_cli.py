@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """A fresh interpreter on this checkout's src/, without NCG_TORUS_PRECISION."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("NCG_TORUS_PRECISION", None)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestJsonWriter:
@@ -182,6 +193,40 @@ class TestCfCommand:
         assert code == 0
         expansion = json.loads(out)["expansion"]
         assert (expansion["a0"], expansion["terminated"]) == (10 ** 4200, True)
+
+    def test_precision_past_the_int_limit_exits_2_at_once(self, capsys, monkeypatch):
+        # refused before the golden digits are computed: 11 s at this precision
+        monkeypatch.setenv("NCG_TORUS_PRECISION", "1000000")
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "cf", "--theta", "golden", "--depth", "3")
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "")
+        assert f"{sys.get_int_max_str_digits()}-digit int limit" in err
+
+    @pytest.mark.parametrize("theta", ["0." + "1" * 4301, "2" * 4301, "1/" + "3" * 4301,
+                                       "0." + "0" * 4300 + "1"],
+                             ids=["decimal", "integer", "rational", "leading zeros"])
+    def test_digits_past_the_int_limit_are_named_briefly(self, capsys, theta):
+        code, out, err = run_cli(capsys, "cf", "--theta", theta, "--depth", "3")
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300
+        assert "4301 digits" in err and "4300-digit int limit" in err
+
+    def test_digits_within_the_int_limit_are_expanded(self, capsys, monkeypatch):
+        monkeypatch.setenv("NCG_TORUS_PRECISION", "4300")
+        code, out, _ = run_cli(capsys, "cf", "--theta", "golden", "--depth", "3")
+        assert code == 0 and json.loads(out)["expansion"]["digits"] == [1, 1, 1]
+
+    def test_a_zero_int_limit_is_no_limit(self, capsys, monkeypatch):
+        # 4301 golden digits pass the precision check and parse_theta
+        monkeypatch.setenv("NCG_TORUS_PRECISION", "4301")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = run_cli(capsys, "cf", "--theta", "golden", "--depth", "3")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0 and json.loads(out)["expansion"]["digits"] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -389,13 +434,36 @@ class TestPairCommand:
                 "dirac_even_pairing(dirac_module('0.45', 4), 'trace-theta',\n"
                 "                   stability_check=False)\n"
                 "print('scipy' in sys.modules)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
+        run = run_python("-c", code)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+    def test_exact_subcommands_do_not_import_numpy(self):
+        # the numeric layer loads on the first numeric call, not at import
+        code = ("import sys\n"
+                "import ncg_torus, ncg_torus.cli as cli\n"
+                "numeric = ('numpy', 'ncg_torus.fredholm', 'ncg_torus.torus_rep')\n"
+                "for argv in (['cf', '--theta', 'golden'],\n"
+                "             ['tower', '--theta', 'golden', '--depth', '12'],\n"
+                "             ['sequence', '--which', 'khomology']):\n"
+                "    assert cli.main(argv) == 0\n"
+                "seen = [[name in sys.modules for name in numeric]]\n"
+                "assert cli.main(['pair', '--module', 'z1', '--class', 'U']) == 0\n"
+                "seen.append([name in sys.modules for name in numeric])\n"
+                "print(seen)\n")
+        run = run_python("-c", code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[[False, False, False], [True, True, True]]"
+
+    @pytest.mark.parametrize("argv", [
+        ("cf", "--theta", "golden", "--depth", "12"),
+        ("pair", "--module", "z1", "--class", "U", "--power", "2")], ids=["cf", "pair"])
+    def test_module_entry_point_matches_main(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("NCG_TORUS_PRECISION", raising=False)
+        code, out, _ = run_cli(capsys, *argv)
+        run = run_python("-m", "ncg_torus.cli", *argv)
+        assert code == run.returncode == 0
+        assert run.stdout == out != ""
 
     def test_dirac_unit_class(self, capsys):
         code, out, _ = run_cli(capsys, "pair", "--module", "dirac",
@@ -549,8 +617,8 @@ def test_refusals_come_before_any_generator(capsys, monkeypatch, argv, maker):
     # rep's size, before U or V is built
     monkeypatch.setattr(torus_rep, "_physical_memory", lambda: 2**20)
     reps = []
-    make = getattr(cli, maker)
-    monkeypatch.setattr(cli, maker, lambda *a: reps.append(make(*a)) or reps[-1])
+    make = getattr(torus_rep, maker)
+    monkeypatch.setattr(torus_rep, maker, lambda *a: reps.append(make(*a)) or reps[-1])
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "") and "physical memory" in err
     assert len(reps) == 1
@@ -612,8 +680,8 @@ def test_clock_pairings_read_only_what_they_pair(capsys, monkeypatch, module, kl
     # the module is its dimension q and the projection its samples, so no
     # generator is built
     reps = []
-    make = cli.clock_shift
-    monkeypatch.setattr(cli, "clock_shift", lambda *a: reps.append(make(*a)) or reps[-1])
+    make = torus_rep.clock_shift
+    monkeypatch.setattr(torus_rep, "clock_shift", lambda *a: reps.append(make(*a)) or reps[-1])
     code, _, _ = run_cli(capsys, "pair", "--module", module, "--class", klass,
                          "--theta", theta)
     assert code == 0 and len(reps) == 1
